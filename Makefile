@@ -5,17 +5,18 @@ GO ?= go
 
 # The committed machine-readable benchmark record for this PR generation
 # (bench-json writes it; bench-regress compares a fresh run against it).
-BENCH_JSON ?= BENCH_8.json
+BENCH_JSON ?= BENCH_9.json
 
 # The benchmarks the regression guard watches: the batch-compilation cold
 # path, the single-large-circuit intra-parallelism path, the SMT bisection,
-# the tiered warm-cache paths (warm-set load/index, warm-served routing),
-# and the flat-core hot spots they are built on (crosstalk construction,
-# circuit analysis, frontier drain, layout/routing). Keep the pattern and
+# the eq. 4 evaluator (memo cold and warm), the tiered warm-cache paths
+# (warm-set load/index, warm-served routing), and the flat-core hot spots
+# they are built on (crosstalk construction, circuit analysis, frontier
+# drain, layout/routing). Keep the pattern and
 # the package list in lockstep with .github/workflows/ci.yml's
 # bench-regression job.
-BENCH_GUARD_PATTERN = BenchmarkBatchCompile|BenchmarkLargeCircuitCompile|BenchmarkSMTSolve|BenchmarkXtalkBuild|BenchmarkCircuitAnalysis|BenchmarkFrontier|BenchmarkRoute|BenchmarkWarmSetLoad|BenchmarkRouteWarmStart
-BENCH_GUARD_PKGS = ./internal/bench/ ./internal/smt/ ./internal/xtalk/ ./internal/circuit/ ./internal/compile/
+BENCH_GUARD_PATTERN = BenchmarkBatchCompile|BenchmarkLargeCircuitCompile|BenchmarkSMTSolve|BenchmarkXtalkBuild|BenchmarkCircuitAnalysis|BenchmarkFrontier|BenchmarkRoute|BenchmarkWarmSetLoad|BenchmarkRouteWarmStart|BenchmarkEvaluate
+BENCH_GUARD_PKGS = ./internal/bench/ ./internal/smt/ ./internal/xtalk/ ./internal/circuit/ ./internal/compile/ ./internal/noise/
 
 .PHONY: all build test lint lint-smoke fastscvet bench bench-json bench-regress warm-cache-check daemon daemon-smoke chaos-smoke
 

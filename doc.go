@@ -44,13 +44,11 @@
 // worker budget is also spent inside a single compilation: ColorDynamic
 // splits each slice's active subgraph into connected components and
 // solves them concurrently over the Context's spare worker slots
-// (memoized per component in the slice cache region), smt.SolveWith runs
-// the frequency bisection as a speculative probe tree when slots are
-// free, and a pioneer goroutine replays the slice loop one slice ahead
-// of the main loop to warm the cache. All three produce schedules
-// byte-identical to the serial path; the "Intra-circuit parallelism"
-// section of docs/architecture.md gives the component key schema, the
-// determinism argument and the prefetch policy.
+// (memoized per component in the slice cache region), and smt.SolveWith
+// runs the frequency bisection as a speculative probe tree when slots
+// are free. Both produce schedules byte-identical to the serial path;
+// the "Intra-circuit parallelism" section of docs/architecture.md gives
+// the component key schema and the determinism argument.
 //
 // # Compilation as a service
 //
@@ -95,11 +93,11 @@
 // resolves the id by binary search over a neighbor slice and panics on
 // uncoupled pairs (an uncoupled pair reaching a coupling lookup is a
 // compiler bug); System.G0ByID serves hot loops that already hold a
-// coupler id — noise channels iterating Device.Edges(), crosstalk weights,
-// static palettes — with a direct index. The compile hot path performs
-// zero map probes per gate. compile.SystemSignature hashes the dense slice
-// in coupler-id order, which preserves the signatures the old map-based
-// iteration produced.
+// coupler id — noise channels iterating couplers in id order, crosstalk
+// weights, static palettes — with a direct index. The compile hot path
+// performs zero map probes per gate. compile.SystemSignature hashes the
+// dense slice in coupler-id order, which preserves the signatures the old
+// map-based iteration produced.
 //
 // # Layout and routing
 //

@@ -17,7 +17,7 @@ import (
 // two-qubit gates land on random couplers. Unlike the tiled XEB patterns,
 // almost every slice has a distinct scattered active set, so the compile is
 // dominated by whole-slice cache misses — the path the component fan-out
-// and the pioneer prefetch accelerate. The seed is fixed: both benchmark
+// accelerates. The seed is fixed: both benchmark
 // variants compile the identical circuit.
 func largeCircuit(sys *phys.System) *circuit.Circuit {
 	rng := rand.New(rand.NewSource(7))
@@ -42,12 +42,10 @@ func largeCircuit(sys *phys.System) *circuit.Circuit {
 // 100-qubit circuit — the intra-circuit parallelism case, where batch-level
 // parallelism cannot help because there is only one job:
 //
-//   - serial: Workers=1, so the component fan-out runs inline, the SMT
-//     probes evaluate serially, and no pioneer spawns — the
-//     pre-parallelism compilation path.
+//   - serial: Workers=1, so the component fan-out runs inline and the SMT
+//     probes evaluate serially — the pre-parallelism compilation path.
 //   - parallel: Workers=GOMAXPROCS; independent slice components solve
-//     concurrently and the pioneer prefetch warms each next slice while
-//     the main loop issues the current one.
+//     concurrently.
 //
 // Both variants start every iteration from a cold cache and produce
 // byte-identical schedules (pinned by TestParallelCompilationMatchesSerialReference).

@@ -34,9 +34,11 @@ func (s DecomposeStrategy) String() string {
 
 // Decompose returns a new circuit in which every CNOT and SWAP has been
 // replaced by its native sequence under the chosen strategy. Native gates
-// pass through unchanged.
+// pass through unchanged. The output's gate slice is sized once, from
+// decomposedLen, instead of growing gate by gate.
 func Decompose(c *Circuit, s DecomposeStrategy) *Circuit {
 	out := New(c.NumQubits)
+	out.Gates = make([]Gate, 0, decomposedLen(c, s))
 	for _, g := range c.Gates {
 		switch g.Kind {
 		case CNOT:
@@ -64,6 +66,37 @@ func Decompose(c *Circuit, s DecomposeStrategy) *Circuit {
 		}
 	}
 	return out
+}
+
+// Native gate counts of the sequences below (appendCNOTViaCZ,
+// appendCNOTViaISwap, appendSWAPViaSqrtISwap).
+const (
+	cnotViaCZLen        = 3
+	cnotViaISwapLen     = 10
+	swapViaSqrtISwapLen = 21
+)
+
+// decomposedLen returns the number of gates Decompose(c, s) emits.
+func decomposedLen(c *Circuit, s DecomposeStrategy) int {
+	cnot, swap := cnotViaCZLen, swapViaSqrtISwapLen
+	switch s {
+	case PureCZ:
+		swap = 3 * cnotViaCZLen
+	case PureISwap:
+		cnot, swap = cnotViaISwapLen, 3*cnotViaISwapLen
+	}
+	n := 0
+	for _, g := range c.Gates {
+		switch g.Kind {
+		case CNOT:
+			n += cnot
+		case SWAP:
+			n += swap
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // appendCNOTViaCZ emits CNOT(ctrl,tgt) = (I⊗H)·CZ·(I⊗H) (Fig 8c).

@@ -120,6 +120,20 @@ func TestDecomposeProducesNativeCircuit(t *testing.T) {
 	}
 }
 
+// TestDecomposeSizesOutputOnce pins decomposedLen to what the append
+// helpers emit: the output slice is allocated once at exactly its final
+// length, for every strategy.
+func TestDecomposeSizesOutputOnce(t *testing.T) {
+	c := New(3)
+	c.H(0).CNOT(0, 1).SWAP(1, 2).CZ(0, 2).CNOT(2, 0).SWAP(0, 1).RZ(1, 0.3)
+	for _, s := range []DecomposeStrategy{Hybrid, PureCZ, PureISwap} {
+		d := Decompose(c, s)
+		if len(d.Gates) != cap(d.Gates) {
+			t.Fatalf("%v: %d gates in a slice of capacity %d", s, len(d.Gates), cap(d.Gates))
+		}
+	}
+}
+
 func TestDecomposePassesNativeGatesThrough(t *testing.T) {
 	c := New(2)
 	c.ISwap(0, 1).CZ(0, 1).SqrtISwap(0, 1).H(0)

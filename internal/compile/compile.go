@@ -81,7 +81,7 @@ type Context struct {
 	Record *Recorder
 
 	// spare is the lazily built semaphore of borrowable intra-job workers
-	// (Workers−1 tokens; see ForEach/TrySpawn in parallel.go). It is scoped
+	// (Workers−1 tokens; see ForEach in parallel.go). It is scoped
 	// to this Context, so every request derived via Scoped gets its own
 	// budget.
 	spare atomic.Pointer[spareSlots]

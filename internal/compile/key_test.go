@@ -123,10 +123,12 @@ func TestKeySchemaDrift(t *testing.T) {
 	// order). Params is excluded on purpose: phys.NewSystem copies every
 	// Params field the compilers read into the Transmon draws (OmegaMax,
 	// EC, Asymmetry, T1, T2) and the dense Coupling slice (G0); OmegaSigma
-	// only shapes the sampling. If System or Transmon gains a field, fold
-	// it in or extend this justification.
+	// only shapes the sampling. sens is excluded too: it is the
+	// SensitivityAt memo, a cache of values computed from Qubits alone,
+	// which the signature already hashes. If System or Transmon gains a
+	// field, fold it in or extend this justification.
 	assertExactFields(t, reflect.TypeOf(phys.System{}), "SystemSignature",
-		"Device", "Qubits", "Coupling", "Params")
+		"Device", "Qubits", "Coupling", "Params", "sens")
 	assertExactFields(t, reflect.TypeOf(phys.Transmon{}), "SystemSignature",
 		"OmegaMax", "EC", "Asymmetry", "T1", "T2")
 

@@ -10,8 +10,8 @@ import (
 // worker budget across jobs; the helpers here let a single job borrow the
 // *spare* part of that budget — Workers−1 tokens, the caller's own worker
 // being the implicit first — for parallelism inside one compilation:
-// fanning the independent components of a slice, speculatively evaluating
-// SMT bisection probes, or running the pioneer slice prefetch. Borrowing
+// fanning the independent components of a slice or speculatively
+// evaluating SMT bisection probes. Borrowing
 // is always non-blocking (a busy pool degrades to inline execution, never
 // to waiting), so intra-job parallelism can never deadlock against the
 // batch pool, and the worst-case goroutine count is bounded by roughly
@@ -112,27 +112,4 @@ func (c *Context) parallelFor() smt.ParallelFor {
 		return nil
 	}
 	return c.ForEach
-}
-
-// TrySpawn runs fn on a spare worker if one is free right now, holding the
-// slot for fn's whole duration, and reports whether it spawned. It never
-// blocks: when no slot is free (or the Context has no spare budget) it
-// returns false without running fn, and the caller proceeds without the
-// background work. fn is responsible for its own panic handling — a panic
-// escaping fn crashes the process like any unguarded goroutine.
-func (c *Context) TrySpawn(fn func()) bool {
-	slots := c.slots()
-	if slots == nil {
-		return false
-	}
-	select {
-	case slots <- struct{}{}:
-		go func() {
-			defer func() { <-slots }()
-			fn()
-		}()
-		return true
-	default:
-		return false
-	}
 }

@@ -51,8 +51,8 @@ func randomNativeCircuit(dev interface {
 
 // TestParallelCompilationMatchesSerialReference is the determinism contract
 // of the intra-circuit parallel path: compiling with a multi-worker cached
-// Context — component fan-out, parallel SMT probes and the pioneer prefetch
-// all active — must produce schedules byte-identical to the nil-Context
+// Context — component fan-out and parallel SMT probes both active — must
+// produce schedules byte-identical to the nil-Context
 // serial reference, across the Fig 9–13 workload shapes and randomized
 // circuits. Run under -race this doubles as the data-race proof for the
 // speculative machinery.
@@ -106,5 +106,30 @@ func TestComponentDecompositionMatchesMonolith(t *testing.T) {
 			t.Fatalf("parallel maxColors=%d: %v", maxColors, err)
 		}
 		sameSchedule(t, fmt.Sprintf("maxColors=%d", maxColors), got, want)
+	}
+}
+
+// TestCacheAccountingIndependentOfWorkers compiles one deep 100-qubit
+// circuit on a fresh cache at 1 and at 4 workers. A job's cache traffic
+// must not depend on its worker budget: every region records the same
+// hits and misses either way.
+func TestCacheAccountingIndependentOfWorkers(t *testing.T) {
+	sys := testSystem(100)
+	c := randomNativeCircuit(sys.Device, sys.Device.Qubits, 3000, 7)
+	stats := func(workers int) map[string]compile.Stats {
+		ctx := compile.NewContext(workers)
+		if _, err := (schedule.ColorDynamic{}).Compile(ctx, c, sys, schedule.Options{}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return ctx.Cache.StatsByRegion()
+	}
+	one, four := stats(1), stats(4)
+	if len(one) != len(four) {
+		t.Fatalf("regions at 1 worker %v, at 4 workers %v", one, four)
+	}
+	for region, s := range one {
+		if four[region] != s {
+			t.Errorf("%s: %+v at 1 worker, %+v at 4 workers", region, s, four[region])
+		}
 	}
 }

@@ -61,46 +61,6 @@ func TestForEachZeroIterations(t *testing.T) {
 	ctx.ForEach(0, func(i int) { t.Fatalf("fn(%d) called for n=0", i) })
 }
 
-func TestTrySpawnNoSpareWorkers(t *testing.T) {
-	ctx := &Context{Workers: 1}
-	if ctx.TrySpawn(func() { t.Error("fn ran despite no spare slot") }) {
-		t.Fatal("TrySpawn succeeded with Workers=1")
-	}
-	var nilCtx *Context
-	if nilCtx.TrySpawn(func() {}) {
-		t.Fatal("TrySpawn succeeded on nil Context")
-	}
-}
-
-func TestTrySpawnRunsAndReleasesSlot(t *testing.T) {
-	ctx := &Context{Workers: 2} // exactly one spare slot
-	ran := make(chan struct{})
-	release := make(chan struct{})
-	if !ctx.TrySpawn(func() { close(ran); <-release }) {
-		t.Fatal("first TrySpawn failed with a free slot")
-	}
-	<-ran
-	// The only slot is held for fn's whole duration.
-	if ctx.TrySpawn(func() {}) {
-		t.Fatal("second TrySpawn succeeded while the slot was held")
-	}
-	close(release)
-	// The slot returns once fn finishes.
-	deadline := time.After(5 * time.Second)
-	for {
-		done := make(chan struct{})
-		if ctx.TrySpawn(func() { close(done) }) {
-			<-done
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("slot never released after fn returned")
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestParallelForNilWithoutSpareWorkers(t *testing.T) {
 	if (&Context{Workers: 1}).parallelFor() != nil {
 		t.Fatal("parallelFor non-nil with Workers=1")

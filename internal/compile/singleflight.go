@@ -18,9 +18,9 @@ import "sync"
 // leader AND in every waiter of that flight, and the key is forgotten.
 // Without this, a panicking compute would strand its waiters on a
 // WaitGroup that never completes — a deadlock that matters now that a
-// compilation's own speculative workers (the pioneer prefetch, the
-// component fan-out) race the main thread to the same keys while the
-// batch engine's per-job panic guard expects the panic, not a hang.
+// compilation's own speculative workers (the component fan-out) race the
+// main thread to the same keys while the batch engine's per-job panic
+// guard expects the panic, not a hang.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

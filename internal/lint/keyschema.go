@@ -39,11 +39,12 @@ var DefaultKeySchema = map[string]KeySchema{
 		Fields:  []string{"Row", "Col"},
 	},
 	"fastsc/internal/phys.System": {
-		// Params is deliberately excluded from the hash itself; the guard
-		// still pins the field so adding a sibling fails vet. See the
+		// Params and sens (the SensitivityAt memo, derived from Qubits)
+		// are deliberately excluded from the hash itself; the guard still
+		// pins both fields so adding a sibling fails vet. See the
 		// justification in compile/key_test.go.
 		KeyFunc: "compile.SystemSignature",
-		Fields:  []string{"Device", "Qubits", "Coupling", "Params"},
+		Fields:  []string{"Device", "Qubits", "Coupling", "Params", "sens"},
 	},
 	"fastsc/internal/phys.Transmon": {
 		KeyFunc: "compile.SystemSignature",

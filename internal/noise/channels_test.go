@@ -43,7 +43,7 @@ func TestAmbientChannelArithmetic(t *testing.T) {
 	fu, fv := 5.2, 5.7
 	tau := 30.0
 	comp := circuit.New(2)
-	comp.X(0) // some physical gate so usedQubits is nonempty
+	comp.X(0) // some physical gate so the program touches a qubit
 	s := makeSchedule(sys, schedule.Slice{
 		Duration: tau,
 		Freqs:    []float64{fu, fv},

@@ -94,28 +94,35 @@ type Report struct {
 	Num2Q          int
 }
 
-// Evaluate computes the worst-case success estimate for a schedule.
+// Evaluate computes the worst-case success estimate for a schedule. It
+// builds no crosstalk graph: coupler pairs are classified by a point query
+// over the connectivity graph (xtalk.Adjacent), and flux sensitivities come
+// from the System's memo (phys.System.SensitivityAt), shared with every
+// other schedule on the same System.
 func Evaluate(s *schedule.Schedule, opt Options) *Report {
+	n := s.System.Device.Qubits
 	ev := &evaluator{
-		s:         s,
-		opt:       opt,
-		fluxCache: map[fluxKey]float64{},
-		x1:        xtalk.Build(s.System.Device, 1),
-		x2:        xtalk.Build(s.System.Device, 2),
+		s:     s,
+		opt:   opt,
+		edges: s.System.Device.Edges(),
+		mark:  make([]bool, n),
+		twoQ:  make([]twoQubitGate, 0, n/2),
 	}
 	return ev.run()
 }
 
-type fluxKey struct {
-	qubit int
-	freq  float64
-}
-
 type evaluator struct {
-	s         *schedule.Schedule
-	opt       Options
-	fluxCache map[fluxKey]float64
-	x1, x2    *xtalk.Graph
+	s   *schedule.Schedule
+	opt Options
+	// edges lists the device's couplers in dense-id order.
+	edges []graph.Edge
+	// mark is per-qubit scratch: during the slice loop it flags the
+	// endpoints of the current slice's active couplers (set and cleared
+	// per slice), afterwards the qubits the program touches.
+	mark []bool
+	// twoQ holds the current slice's two-qubit gates, reused across
+	// slices.
+	twoQ []twoQubitGate
 
 	logGate float64
 	logSpec float64
@@ -123,6 +130,15 @@ type evaluator struct {
 	logFlux float64
 }
 
+// twoQubitGate is one two-qubit gate of a slice with its coupler and the
+// coupler's dense id (-1 when the pair is not a device coupler).
+type twoQubitGate struct {
+	g  *schedule.GateEvent
+	e  graph.Edge
+	id int
+}
+
+//fastsc:hotpath the eq. 4 slice loop runs once per compile job, warm or cold; its per-slice state lives in evaluator-owned slices, so nothing here may allocate a map, call fmt, or box
 func (ev *evaluator) run() *Report {
 	s := ev.s
 	rep := &Report{Duration: s.TotalTime, Depth: s.Depth()}
@@ -130,17 +146,21 @@ func (ev *evaluator) run() *Report {
 
 	for si := range s.Slices {
 		sl := &s.Slices[si]
-		active := make(map[graph.Edge]bool, len(sl.ActiveCouplers))
 		for _, e := range sl.ActiveCouplers {
-			active[e] = true
+			ev.mark[e.U] = true
+			ev.mark[e.V] = true
 		}
 		ev.gateGateChannels(sl)
-		ev.spectatorChannels(sl, active)
+		ev.spectatorChannels(sl)
 		if !ev.opt.DisableAmbient {
-			ev.ambientChannels(sl, active)
+			ev.ambientChannels(sl)
 		}
 		if ev.opt.FluxNoiseSigma > 0 {
 			ev.fluxChannels(sl)
+		}
+		for _, e := range sl.ActiveCouplers {
+			ev.mark[e.U] = false
+			ev.mark[e.V] = false
 		}
 		for _, g := range sl.Gates {
 			rep.NumGates++
@@ -154,9 +174,17 @@ func (ev *evaluator) run() *Report {
 	}
 
 	// Decoherence over the full program duration for the qubits the
-	// program touches.
+	// program touches, in ascending qubit order.
+	for _, g := range s.Compiled.Gates {
+		for _, q := range g.Qubits {
+			ev.mark[q] = true
+		}
+	}
 	logDec := 0.0
-	for _, q := range usedQubits(s) {
+	for q, used := range ev.mark {
+		if !used {
+			continue
+		}
 		eq := s.System.Transmon(q).DecoherenceError(s.TotalTime)
 		logDec += math.Log1p(-clampProb(eq))
 	}
@@ -176,58 +204,59 @@ func (ev *evaluator) run() *Report {
 
 // pairCoupling returns the effective parasitic coupling between two active
 // couplers at crosstalk distance 1 or 2, honoring gmon coupler switching.
-func (ev *evaluator) pairCoupling(e1, e2 graph.Edge) float64 {
-	v1, ok1 := ev.x1.VertexOf(e1.U, e1.V)
-	v2, ok2 := ev.x1.VertexOf(e2.U, e2.V)
-	if !ok1 || !ok2 {
+func (ev *evaluator) pairCoupling(a, b *twoQubitGate) float64 {
+	s := ev.s
+	dev := s.System.Device
+	if a.id < 0 || b.id < 0 || !xtalk.Adjacent(dev, a.e, b.e, 2) {
 		return 0
 	}
-	s := ev.s
-	// v1/v2 are the couplers' dense edge ids, so the coupling reads are
-	// direct indexes — no map probe, no second edge-id search.
-	g0 := (s.System.G0ByID(int32(v1)) + s.System.G0ByID(int32(v2))) / 2
-	switch {
-	case ev.x1.G.HasEdge(v1, v2):
+	g0 := (s.System.G0ByID(int32(a.id)) + s.System.G0ByID(int32(b.id))) / 2
+	if xtalk.Adjacent(dev, a.e, b.e, 1) {
 		// Distance 1: a single off-path coupler connects the pairs.
 		if s.Gmon {
 			g0 *= s.Residual
 		}
 		return g0
-	case ev.x2.G.HasEdge(v1, v2):
-		// Distance 2: exchange through a mediating idle qubit crosses two
-		// off-path couplers.
-		g0 *= ev.opt.NextNeighborFactor
-		if s.Gmon {
-			g0 *= s.Residual * s.Residual
-		}
-		return g0
 	}
-	return 0
+	// Distance 2: exchange through a mediating idle qubit crosses two
+	// off-path couplers.
+	g0 *= ev.opt.NextNeighborFactor
+	if s.Gmon {
+		g0 *= s.Residual * s.Residual
+	}
+	return g0
 }
 
 // gateGateChannels accumulates crosstalk between pairs of simultaneous
 // two-qubit gates (the frequency-crowding errors of Fig 6).
+//
+//fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
 func (ev *evaluator) gateGateChannels(sl *schedule.Slice) {
-	events := sl.Gates
-	for i := 0; i < len(events); i++ {
-		gi := events[i]
-		if !gi.Gate.Kind.IsTwoQubit() {
+	gc := ev.s.System.Device.Coupling
+	ev.twoQ = ev.twoQ[:0]
+	for i := range sl.Gates {
+		g := &sl.Gates[i]
+		if !g.Gate.Kind.IsTwoQubit() {
 			continue
 		}
-		ei := graph.NewEdge(gi.Gate.Qubits[0], gi.Gate.Qubits[1])
-		for j := i + 1; j < len(events); j++ {
-			gj := events[j]
-			if !gj.Gate.Kind.IsTwoQubit() {
-				continue
-			}
-			ej := graph.NewEdge(gj.Gate.Qubits[0], gj.Gate.Qubits[1])
-			g := ev.pairCoupling(ei, ej)
+		e := graph.NewEdge(g.Gate.Qubits[0], g.Gate.Qubits[1])
+		id, ok := gc.EdgeID(e.U, e.V)
+		if !ok {
+			id = -1
+		}
+		ev.twoQ = append(ev.twoQ, twoQubitGate{g: g, e: e, id: id})
+	}
+	for i := range ev.twoQ {
+		a := &ev.twoQ[i]
+		for j := i + 1; j < len(ev.twoQ); j++ {
+			b := &ev.twoQ[j]
+			g := ev.pairCoupling(a, b)
 			if g == 0 {
 				continue
 			}
-			tau := math.Min(gi.Duration, gj.Duration)
-			ec := ev.s.System.Transmon(ei.U).EC
-			delta := gi.Freq - gj.Freq
+			tau := math.Min(a.g.Duration, b.g.Duration)
+			ec := ev.s.System.Transmon(a.e.U).EC
+			delta := a.g.Freq - b.g.Freq
 			eps := phys.TransitionProbability(g, delta, tau)
 			// Active qubits are excited, so sideband channels carry full
 			// weight and the √2 two-photon enhancement.
@@ -239,23 +268,24 @@ func (ev *evaluator) gateGateChannels(sl *schedule.Slice) {
 }
 
 // spectatorChannels accumulates exchange between each active gate qubit and
-// its idle direct neighbors.
-func (ev *evaluator) spectatorChannels(sl *schedule.Slice, active map[graph.Edge]bool) {
+// its idle direct neighbors. The coupler to an idle neighbor is never
+// active (an active coupler's endpoints are both busy), so on gmon
+// hardware it always carries only the residual coupling.
+//
+//fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
+func (ev *evaluator) spectatorChannels(sl *schedule.Slice) {
 	s := ev.s
-	busy := make(map[int]bool)
-	for _, e := range sl.ActiveCouplers {
-		busy[e.U] = true
-		busy[e.V] = true
-	}
+	busy := ev.mark
+	gc := s.System.Device.Coupling
 	for _, e := range sl.ActiveCouplers {
 		for _, q := range [2]int{e.U, e.V} {
-			for _, spec := range s.System.Device.NeighborsSorted(q) {
+			for _, w := range gc.Adj(q) {
+				spec := int(w)
 				if busy[spec] || e.Has(spec) {
 					continue
 				}
-				cpl := graph.NewEdge(q, spec)
 				g0 := s.System.G0(q, spec)
-				if s.Gmon && !active[cpl] {
+				if s.Gmon {
 					g0 *= s.Residual
 				}
 				if g0 == 0 {
@@ -276,14 +306,12 @@ func (ev *evaluator) spectatorChannels(sl *schedule.Slice, active map[graph.Edge
 
 // ambientChannels accumulates the idle-idle background through couplers
 // whose both endpoints are parked.
-func (ev *evaluator) ambientChannels(sl *schedule.Slice, active map[graph.Edge]bool) {
+//
+//fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
+func (ev *evaluator) ambientChannels(sl *schedule.Slice) {
 	s := ev.s
-	busy := make(map[int]bool)
-	for _, e := range sl.ActiveCouplers {
-		busy[e.U] = true
-		busy[e.V] = true
-	}
-	for id, e := range s.System.Device.Edges() {
+	busy := ev.mark
+	for id, e := range ev.edges {
 		if busy[e.U] || busy[e.V] {
 			continue // spectator/gate channels cover these
 		}
@@ -307,10 +335,12 @@ func (ev *evaluator) ambientChannels(sl *schedule.Slice, active map[graph.Edge]b
 
 // fluxChannels accumulates dephasing from flux noise for qubits operated
 // away from their sweet spots.
+//
+//fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
 func (ev *evaluator) fluxChannels(sl *schedule.Slice) {
 	s := ev.s
 	for q := 0; q < s.System.Device.Qubits; q++ {
-		sens := ev.sensitivity(q, sl.Freqs[q])
+		sens := s.System.SensitivityAt(q, sl.Freqs[q])
 		if sens == 0 {
 			continue
 		}
@@ -318,35 +348,6 @@ func (ev *evaluator) fluxChannels(sl *schedule.Slice) {
 		eps := 1 - math.Exp(-rate*sl.Duration)
 		ev.logFlux += math.Log1p(-clampProb(eps))
 	}
-}
-
-func (ev *evaluator) sensitivity(q int, freq float64) float64 {
-	key := fluxKey{q, freq}
-	if v, ok := ev.fluxCache[key]; ok {
-		return v
-	}
-	tr := ev.s.System.Transmon(q)
-	sens := 0.0
-	if phi, err := tr.FluxFor(freq); err == nil {
-		sens = tr.FluxSensitivity(phi)
-	}
-	ev.fluxCache[key] = sens
-	return sens
-}
-
-func usedQubits(s *schedule.Schedule) []int {
-	seen := make(map[int]bool)
-	for _, g := range s.Compiled.Gates {
-		for _, q := range g.Qubits {
-			seen[q] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for q := range seen {
-		out = append(out, q)
-	}
-	sortInts(out)
-	return out
 }
 
 func clampProb(p float64) float64 {
@@ -357,12 +358,4 @@ func clampProb(p float64) float64 {
 		return 0.999999
 	}
 	return p
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

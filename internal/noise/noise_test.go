@@ -219,3 +219,26 @@ func TestSerialCircuitHasNoGateGateError(t *testing.T) {
 		t.Fatal("active gates next to parked qubits should register spectator channels")
 	}
 }
+
+// TestEvaluateAllocsIndependentOfDepth bounds Evaluate's allocations by a
+// constant: the evaluator's per-slice state lives in slices it owns, and
+// the flux sensitivities come from the System's memo, so a schedule ten
+// times deeper allocates no more.
+func TestEvaluateAllocsIndependentOfDepth(t *testing.T) {
+	sys := phys.NewSystem(topology.SquareGrid(16), phys.DefaultParams(), 42)
+	opt := DefaultOptions()
+	allocs := func(cycles int) (float64, int) {
+		s := compiled(t, "ColorDynamic", bench.XEB(sys.Device, cycles, 5), sys, schedule.Options{})
+		return testing.AllocsPerRun(20, func() { Evaluate(s, opt) }), s.Depth()
+	}
+	shallow, shallowDepth := allocs(2)
+	deep, deepDepth := allocs(20)
+	if deepDepth < 5*shallowDepth {
+		t.Fatalf("depths %d and %d do not differ enough to test anything", shallowDepth, deepDepth)
+	}
+	const bound = 5 // evaluator, its coupler list and two scratch slices, the Report
+	if shallow > bound || deep > bound {
+		t.Fatalf("Evaluate allocates %v times at depth %d and %v at depth %d, want at most %d",
+			shallow, shallowDepth, deep, deepDepth, bound)
+	}
+}

@@ -3,6 +3,7 @@ package phys
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"fastsc/internal/topology"
 )
@@ -10,6 +11,10 @@ import (
 // System is a fully characterized device: the topology plus one Transmon per
 // qubit (with fabrication spread applied) and one bare coupling strength per
 // coupler. It is the hardware description consumed by the compiler.
+//
+// A System is immutable once in use: SensitivityAt memoizes values derived
+// from Qubits, so a System must not be modified after its first
+// SensitivityAt call (build a new one, as calib.Apply does, instead).
 type System struct {
 	Device *topology.Device
 	Qubits []Transmon // indexed by qubit id
@@ -20,6 +25,11 @@ type System struct {
 	// compile hot path.
 	Coupling []float64
 	Params   Params
+
+	// sens is the flux-sensitivity memo behind SensitivityAt, created on
+	// first use. It is derived from Qubits alone, which is why
+	// compile.SystemSignature does not hash it.
+	sens atomic.Pointer[sensMemo]
 }
 
 // NewSystem samples a System from the given parameters. Maximum frequencies
@@ -109,4 +119,77 @@ func (s *System) MeanAnharmonicity() float64 {
 		sum += t.Anharmonicity()
 	}
 	return sum / float64(len(s.Qubits))
+}
+
+// sensCap bounds the frequencies SensitivityAt memoizes per qubit. A
+// schedule parks each qubit at one frequency and gates it at a few
+// interaction colors: the Fig 9 sweep needs at most 12 per qubit, and
+// every strategy at every color budget and crosstalk distance on one
+// System needs 17. Past the cap, lookups are computed and not stored.
+const sensCap = 32
+
+// sensMemo holds one copy-on-write entry list per qubit. Readers load a
+// list and scan it without locking; a writer publishes a longer copy with
+// a compare-and-swap, so a list, once published, never changes.
+type sensMemo struct {
+	qubits []atomic.Pointer[[]sensEntry]
+}
+
+type sensEntry struct{ freq, sens float64 }
+
+// SensitivityAt returns |dω01/dφ| (GHz per Φ₀) of qubit q tuned to freq:
+// FluxSensitivity at the flux FluxFor finds, or 0 when freq is out of the
+// qubit's tunable range. Results are memoized on the System, bit for bit
+// equal to the direct computation, so every schedule, strategy and request
+// sharing a System runs the 60-step FluxFor bisection once per (qubit,
+// frequency). It is safe for concurrent use.
+func (s *System) SensitivityAt(q int, freq float64) float64 {
+	m := s.sens.Load()
+	if m == nil {
+		m = &sensMemo{qubits: make([]atomic.Pointer[[]sensEntry], len(s.Qubits))}
+		if !s.sens.CompareAndSwap(nil, m) {
+			m = s.sens.Load()
+		}
+	}
+	slot := &m.qubits[q]
+	cur := slot.Load()
+	if v, ok := lookupSens(cur, freq); ok {
+		return v
+	}
+	tr := s.Qubits[q]
+	v := 0.0
+	if phi, err := tr.FluxFor(freq); err == nil {
+		v = tr.FluxSensitivity(phi)
+	}
+	for {
+		var old []sensEntry
+		if cur != nil {
+			old = *cur
+		}
+		if len(old) >= sensCap {
+			return v
+		}
+		next := append(old[:len(old):len(old)], sensEntry{freq, v}) // always a copy
+		if slot.CompareAndSwap(cur, &next) {
+			return v
+		}
+		// Another writer published first: retry on its list unless it
+		// already stored this frequency.
+		cur = slot.Load()
+		if _, ok := lookupSens(cur, freq); ok {
+			return v
+		}
+	}
+}
+
+func lookupSens(list *[]sensEntry, freq float64) (float64, bool) {
+	if list == nil {
+		return 0, false
+	}
+	for _, e := range *list {
+		if e.freq == freq {
+			return e.sens, true
+		}
+	}
+	return 0, false
 }

@@ -57,10 +57,6 @@ func compileColorDynamic(ctx *compile.Context, name string, gmon bool, c *circui
 	if opts.MaxColors > 0 && opts.MaxColors < budget {
 		budget = opts.MaxColors
 	}
-	// Speculatively warm the slice cache one step ahead of the main loop
-	// when a spare worker is free (no-op otherwise); stopped before return.
-	b.startPioneer(intCfg, budget)
-	defer b.stopPioneer()
 
 	scr := b.scr
 	f := b.front
@@ -116,10 +112,7 @@ func deferredContains(deferred []int, v int) bool {
 // admitReady runs the queueing scheduler's admission loop (Algorithm 1
 // lines 10–16) over the criticality-sorted ready list, staging the admitted
 // gates in scr: most-critical first, postponing two-qubit gates whose
-// crosstalk neighborhoods are already crowded (noise_conflict, §V-B6). It
-// is shared by the main slice loop and the pioneer prefetch, so the
-// pioneer's prediction of the next slices can never drift from what the
-// main loop will admit.
+// crosstalk neighborhoods are already crowded (noise_conflict, §V-B6).
 func (b *builder) admitReady(ready []int, scr *sliceScratch) {
 	for _, idx := range ready {
 		g := b.circ.Gates[idx]
@@ -259,73 +252,6 @@ func (b *builder) mergeComponents(keyVerts []int, sols []compile.ComponentSoluti
 		Assign:    assign,
 		Delta:     delta,
 	}, nil
-}
-
-// startPioneer spawns the speculative slice-prefetch goroutine on a spare
-// worker if the Context has both a cache (the pioneer's only output
-// channel) and a free slot; otherwise it is a no-op. The pioneer replays
-// the main loop's slice sequence exactly — same admission, same deferral —
-// on its own frontier and scratch, so every slice key it computes is one
-// the main loop is about to ask for; the main loop then hits the cache (or
-// joins the in-flight computation through the single-flight layer) instead
-// of solving serially.
-func (b *builder) startPioneer(intCfg smt.Config, budget int) {
-	if b.ctx == nil || b.ctx.Cache == nil {
-		return
-	}
-	done := make(chan struct{})
-	spawned := b.ctx.TrySpawn(func() {
-		defer close(done)
-		defer func() {
-			// A pioneer panic is swallowed deliberately: the main loop
-			// re-runs the same computes, re-encounters the panic on its own
-			// goroutine (the single-flight layer re-raises a leader's panic
-			// in every waiter), and the engine's per-job guard reports it.
-			_ = recover()
-		}()
-		b.runPioneer(intCfg, budget)
-	})
-	if spawned {
-		b.pioneerDone = done
-	}
-}
-
-// runPioneer is the pioneer's replay loop: admit, solve (warming the slice,
-// component and SMT caches), issue the non-deferred gates on its private
-// frontier, repeat — checking the stop flag between slices.
-func (b *builder) runPioneer(intCfg smt.Config, budget int) {
-	f := b.ana.NewFrontier()
-	defer f.Release()
-	scr := acquireScratch(b.sys.Device.Qubits)
-	defer scr.release()
-	for !f.Done() && !b.pioneerStop.Load() {
-		ready := f.Ready()
-		sortByCriticality(ready, b.crit)
-		b.admitReady(ready, scr)
-		sol, err := b.solveSlice(scr, intCfg, budget)
-		if err != nil {
-			return
-		}
-		for i, sidx := range scr.selected {
-			if v := scr.selVerts[i]; v >= 0 && deferredContains(sol.Deferred, int(v)) {
-				continue // postponed by the color budget, same as the main loop
-			}
-			f.Issue(int(sidx))
-		}
-		scr.resetSlice()
-	}
-}
-
-// stopPioneer signals the pioneer to stop and waits for it to exit; a
-// no-op when none was spawned. Called (deferred) before compileColorDynamic
-// returns so no speculation outlives its compilation.
-func (b *builder) stopPioneer() {
-	if b.pioneerDone == nil {
-		return
-	}
-	b.pioneerStop.Store(true)
-	<-b.pioneerDone
-	b.pioneerDone = nil
 }
 
 func mustVertex(b *builder, e graph.Edge) int {

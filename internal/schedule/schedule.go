@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"fastsc/internal/circuit"
 	"fastsc/internal/compile"
@@ -216,12 +215,6 @@ type builder struct {
 	scr   *sliceScratch
 	sched *Schedule
 	now   float64
-
-	// pioneerStop and pioneerDone coordinate the speculative slice-prefetch
-	// goroutine (startPioneer in colordynamic.go); pioneerDone is nil when
-	// no pioneer was spawned.
-	pioneerStop atomic.Bool
-	pioneerDone chan struct{}
 }
 
 func newBuilder(ctx *compile.Context, name string, c *circuit.Circuit, sys *phys.System, opts Options) (*builder, error) {

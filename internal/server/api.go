@@ -208,6 +208,12 @@ const DefaultPriority = 5
 // MaxPriority is the highest admission priority.
 const MaxPriority = 9
 
+// MaxDeviceQubits bounds device.qubits. The device is built before any
+// job runs, and what jobs derive from it grows with its size (the routing
+// distance matrix quadratically), so an unchecked size would let a few
+// request bytes allocate without limit.
+const MaxDeviceQubits = 1024
+
 // apiError is an error with an HTTP status; retryAfter, when non-zero,
 // becomes a Retry-After header (seconds).
 type apiError struct {
@@ -260,6 +266,9 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedBatch, *apiError) {
 	seed := int64(DefaultDeviceSeed)
 	if req.Device.Seed != nil {
 		seed = *req.Device.Seed
+	}
+	if n := req.Device.Qubits; n > MaxDeviceQubits {
+		return nil, badRequest("device: %d qubits, limit is %d", n, MaxDeviceQubits)
 	}
 	sys, err := s.systems.get(req.Device.Topology, req.Device.Qubits, seed)
 	if err != nil {

@@ -379,6 +379,40 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestDeviceSizeLimit checks that an oversize device.qubits is a 400
+// rejected before any device is built, and that the limit itself is
+// accepted.
+func TestDeviceSizeLimit(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := CompileRequest{
+		Device: DeviceSpec{Topology: "linear", Qubits: 100_000_000},
+		Jobs:   []JobSpec{{QASM: testQASM}},
+	}
+	for _, path := range []string{"/v1/compile", "/v1/batches"} {
+		code, body := postJSON(t, ts, path, req)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %s)", path, code, body)
+		}
+		if !strings.Contains(string(body), "limit is 1024") {
+			t.Fatalf("%s: error %q does not name the limit", path, body)
+		}
+	}
+	srv.systems.mu.Lock()
+	built := len(srv.systems.m)
+	srv.systems.mu.Unlock()
+	if built != 0 {
+		t.Fatalf("%d systems built for rejected requests", built)
+	}
+
+	req.Device.Qubits = MaxDeviceQubits
+	if _, aerr := srv.parseRequest(&req); aerr != nil {
+		t.Fatalf("device at the limit rejected: %s", aerr.msg)
+	}
+}
+
 func TestBadJSONBody(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())

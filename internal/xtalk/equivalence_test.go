@@ -57,11 +57,10 @@ func sameGraph(t *testing.T, label string, got, want *graph.Graph) {
 	}
 }
 
-// TestBuildMatchesAllPairsReference checks the BFS construction against the
-// all-pairs reference on the device families the paper evaluates — meshes,
-// linear chains/rings, and 1-D/2-D express cubes — for d in {1,2,3}.
-func TestBuildMatchesAllPairsReference(t *testing.T) {
-	devices := []*topology.Device{
+// equivalenceDevices are the device families the paper evaluates —
+// meshes, linear chains/rings, and 1-D/2-D express cubes.
+func equivalenceDevices() []*topology.Device {
+	return []*topology.Device{
 		topology.Grid(3, 3),
 		topology.Grid(4, 5),
 		topology.Grid(5, 5),
@@ -72,7 +71,12 @@ func TestBuildMatchesAllPairsReference(t *testing.T) {
 		topology.Express2D(4, 4, 2),
 		topology.Express2D(5, 4, 3),
 	}
-	for _, dev := range devices {
+}
+
+// TestBuildMatchesAllPairsReference checks the BFS construction against the
+// all-pairs reference on equivalenceDevices for d in {1,2,3}.
+func TestBuildMatchesAllPairsReference(t *testing.T) {
+	for _, dev := range equivalenceDevices() {
 		for d := 1; d <= 3; d++ {
 			got := Build(dev, d)
 			want := referenceBuild(dev, d)
@@ -84,6 +88,30 @@ func TestBuildMatchesAllPairsReference(t *testing.T) {
 				}
 				if v, ok := got.VertexOf(e.U, e.V); !ok || v != id {
 					t.Fatalf("%s: VertexOf(%v) = %d,%v, want %d", dev.Name, e, v, ok, id)
+				}
+			}
+		}
+	}
+}
+
+// TestAdjacentMatchesBuild checks the point query against the built
+// graph: for d in {1,2,3}, Adjacent holds for exactly the coupler pairs
+// Build(dev, d) connects (never for a coupler and itself), including
+// across the components of a disconnected device.
+func TestAdjacentMatchesBuild(t *testing.T) {
+	devices := append(equivalenceDevices(), topology.FromEdges("two-chains", 6, []graph.Edge{
+		graph.NewEdge(0, 1), graph.NewEdge(1, 2),
+		graph.NewEdge(3, 4), graph.NewEdge(4, 5),
+	}))
+	for _, dev := range devices {
+		couplers := dev.Edges()
+		for d := 1; d <= 3; d++ {
+			x := Build(dev, d)
+			for i, e := range couplers {
+				for j, f := range couplers {
+					if got, want := Adjacent(dev, e, f, d), x.G.HasEdge(i, j); got != want {
+						t.Fatalf("%s d=%d: Adjacent(%v, %v) = %v, Build adjacency %v", dev.Name, d, e, f, got, want)
+					}
 				}
 			}
 		}

@@ -132,6 +132,39 @@ func Build(dev *topology.Device, d int) *Graph {
 	return &Graph{G: g, Couplers: couplers, Distance: d, gc: gc}
 }
 
+// Adjacent reports whether the couplers e and f are adjacent in the
+// distance-d crosstalk graph Build(dev, d) — distinct couplers that share
+// a qubit or have endpoints at most d hops apart — without building that
+// graph. It walks at most d hops out from e's endpoints over the
+// connectivity graph's adjacency slices and allocates nothing, so a caller
+// that classifies a handful of coupler pairs (the noise evaluator) pays
+// for those pairs, not for every coupler of the device.
+//
+//fastsc:hotpath the noise evaluator classifies every pair of simultaneous two-qubit gates through it; it must stay alloc-free
+func Adjacent(dev *topology.Device, e, f graph.Edge, d int) bool {
+	if e == f {
+		return false
+	}
+	gc := dev.Coupling
+	return withinHops(gc, e.U, f, d) || withinHops(gc, e.V, f, d)
+}
+
+// withinHops reports whether an endpoint of f lies at most d hops from q.
+func withinHops(gc *graph.Graph, q int, f graph.Edge, d int) bool {
+	if f.Has(q) {
+		return true
+	}
+	if d == 0 {
+		return false
+	}
+	for _, w := range gc.Adj(q) {
+		if withinHops(gc, int(w), f, d-1) {
+			return true
+		}
+	}
+	return false
+}
+
 // VertexOf returns the crosstalk-graph vertex for the coupler between
 // qubits a and b, and whether that coupler exists. Coupler ids equal the
 // connectivity graph's dense edge ids, so this is a binary search, not a

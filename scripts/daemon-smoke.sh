@@ -134,8 +134,8 @@ LARGE_REQ="$WORKDIR/large-request.json"
 python3 - "$LARGE_REQ" <<'PYEOF'
 import json, random, sys
 # One deep circuit on a 6x6 grid: enough scattered slices that the
-# request exercises the intra-circuit parallel path (component fan-out,
-# pioneer prefetch) that workers > 1 enables for a single job.
+# request exercises the intra-circuit parallel path (component fan-out)
+# that workers > 1 enables for a single job.
 rows = cols = 6
 n = rows * cols
 couplers = []
