@@ -3,6 +3,7 @@ package noise_test
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,9 +64,36 @@ func fig9Schedules(tb testing.TB, ctx *compile.Context) []fig9Job {
 	return jobs
 }
 
+// deepCircuit draws one seeded random native circuit on sys: a quarter H,
+// a quarter RZ and half CNOTs on random couplers, the shape of fastscbench's
+// deep-100q workload. Nearly every slice of such a circuit has a distinct
+// scattered active set, so compiling it exercises the slice solver's miss
+// path rather than its cache.
+func deepCircuit(sys *phys.System, gates int, seed int64) *circuit.Circuit {
+	rng := rand.New(rand.NewSource(seed))
+	edges := sys.Device.Coupling.Edges()
+	n := sys.Device.Qubits
+	c := circuit.New(n)
+	for range gates {
+		switch rng.Intn(4) {
+		case 0:
+			c.H(rng.Intn(n))
+		case 1:
+			c.RZ(rng.Intn(n), rng.Float64())
+		default:
+			e := edges[rng.Intn(len(edges))]
+			c.CNOT(e.U, e.V)
+		}
+	}
+	return c
+}
+
 // goldenRows evaluates the pinned job set: the Fig 9 suite under three
 // noise settings, then a device × crosstalk-distance × gmon-residual
-// sweep over every strategy, including the ColorDynamic-G extension.
+// sweep over every strategy, including the ColorDynamic-G extension, then
+// deep 100-qubit circuits through both dynamic strategies at every color
+// budget (1, 2, 3 and unlimited), where deferral decisions are most
+// sensitive to how each slice is colored.
 func goldenRows(t *testing.T) []string {
 	ctx := compile.NewContext(1)
 	var rows []string
@@ -116,6 +144,19 @@ func goldenRows(t *testing.T) []string {
 						rows = append(rows, goldenRow(key, noise.Evaluate(s, noDefault)))
 					}
 				}
+			}
+		}
+	}
+
+	deep := expt.GridSystem(100)
+	for seed := int64(1); seed <= 3; seed++ {
+		c := deepCircuit(deep, 3000, seed)
+		for _, strategy := range []string{schedule.ColorDynamic{}.Name(), schedule.GmonDynamic{}.Name()} {
+			for _, maxColors := range []int{1, 2, 3, -1} {
+				cfg := core.Config{Schedule: schedule.Options{MaxColors: maxColors}}
+				s := goldenSchedule(t, ctx, c, deep, strategy, cfg)
+				key := fmt.Sprintf("deep(100,3000)/seed=%d/%s/maxColors=%d", seed, strategy, maxColors)
+				rows = append(rows, goldenRow(key, noise.Evaluate(s, noDefault)))
 			}
 		}
 	}
