@@ -5,10 +5,10 @@ GO ?= go
 
 # The committed machine-readable benchmark record for this PR generation
 # (bench-json writes it; bench-regress compares a fresh run against it).
-BENCH_JSON ?= BENCH_9.json
+BENCH_JSON ?= BENCH_10.json
 
 # The benchmarks the regression guard watches: the batch-compilation cold
-# path, the single-large-circuit intra-parallelism path, the SMT bisection,
+# path, the single-large-circuit slice-miss path, the SMT bisection,
 # the eq. 4 evaluator (memo cold and warm), the tiered warm-cache paths
 # (warm-set load/index, warm-served routing), and the flat-core hot spots
 # they are built on (crosstalk construction, circuit analysis, frontier

@@ -38,17 +38,16 @@
 // corrupt or version-mismatched snapshot silently degrades to a cold
 // cache.
 //
-// # Intra-circuit parallelism
+// # Parallelism
 //
-// One deep circuit cannot be helped by batch-level parallelism, so the
-// worker budget is also spent inside a single compilation: ColorDynamic
-// splits each slice's active subgraph into connected components and
-// solves them concurrently over the Context's spare worker slots
-// (memoized per component in the slice cache region), and smt.SolveWith
-// runs the frequency bisection as a speculative probe tree when slots
-// are free. Both produce schedules byte-identical to the serial path;
-// the "Intra-circuit parallelism" section of docs/architecture.md gives
-// the component key schema and the determinism argument.
+// Compilation is parallel at one level: across the jobs of a batch. Each
+// job compiles on one goroutine, so one deep circuit compiles serially
+// whatever its worker budget. On a slice cache miss ColorDynamic colors
+// the whole active subgraph and runs one serial SMT solve. Splitting
+// slices into components on spare workers, and speculating the SMT
+// bisection, were measured and removed: the component keys hit too
+// rarely to pay for their lookups and merge, even on one worker. The
+// "Parallelism" section of docs/architecture.md has the numbers.
 //
 // # Compilation as a service
 //

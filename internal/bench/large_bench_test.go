@@ -12,13 +12,12 @@ import (
 	"fastsc/internal/schedule"
 )
 
-// largeCircuit builds one deep 100-qubit workload for the intra-circuit
-// parallelism benchmark: a randomized native circuit on a 10×10 grid whose
-// two-qubit gates land on random couplers. Unlike the tiled XEB patterns,
-// almost every slice has a distinct scattered active set, so the compile is
-// dominated by whole-slice cache misses — the path the component fan-out
-// accelerates. The seed is fixed: both benchmark
-// variants compile the identical circuit.
+// largeCircuit builds one deep 100-qubit workload: a randomized native
+// circuit on a 10×10 grid whose two-qubit gates land on random couplers.
+// Unlike the tiled XEB patterns, almost every slice has a distinct
+// scattered active set, so the compile is dominated by whole-slice cache
+// misses — the slice solver's coloring and SMT path. The seed is fixed, so
+// every run compiles the identical circuit.
 func largeCircuit(sys *phys.System) *circuit.Circuit {
 	rng := rand.New(rand.NewSource(7))
 	edges := sys.Device.Coupling.Edges()
@@ -39,30 +38,20 @@ func largeCircuit(sys *phys.System) *circuit.Circuit {
 }
 
 // BenchmarkLargeCircuitCompile measures ColorDynamic on one deep
-// 100-qubit circuit — the intra-circuit parallelism case, where batch-level
-// parallelism cannot help because there is only one job:
-//
-//   - serial: Workers=1, so the component fan-out runs inline and the SMT
-//     probes evaluate serially — the pre-parallelism compilation path.
-//   - parallel: Workers=GOMAXPROCS; independent slice components solve
-//     concurrently.
-//
-// Both variants start every iteration from a cold cache and produce
-// byte-identical schedules (pinned by TestParallelCompilationMatchesSerialReference).
+// 100-qubit circuit from a cold cache every iteration. A single job runs
+// on one goroutine whatever the worker budget: parallelism lives across
+// the jobs of a batch, so there is one variant.
 func BenchmarkLargeCircuitCompile(b *testing.B) {
 	sys := expt.GridSystem(100)
 	circ := largeCircuit(sys)
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ctx := compile.NewContext(workers)
-			if _, err := (schedule.ColorDynamic{}).Compile(ctx, circ, sys, schedule.Options{}); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := compile.NewContext(0)
+		if _, err := (schedule.ColorDynamic{}).Compile(ctx, circ, sys, schedule.Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkLargeCircuitBatch is the same workload through the engine (the
@@ -72,14 +61,11 @@ func BenchmarkLargeCircuitBatch(b *testing.B) {
 	sys := expt.GridSystem(100)
 	circ := largeCircuit(sys)
 	job := []core.BatchJob{{Key: "large", Circuit: circ, System: sys, Strategy: "ColorDynamic"}}
-	run := func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			ctx := compile.NewContext(workers)
-			if _, err := core.BatchCollect(ctx, job); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctx := compile.NewContext(0)
+		if _, err := core.BatchCollect(ctx, job); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }

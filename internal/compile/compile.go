@@ -58,10 +58,7 @@
 // the re-key version table and the degradation contract.
 package compile
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+import "runtime"
 
 // Context carries the shared compilation state injected into every
 // compiler: the memoization cache and the parallelism budget for batch
@@ -79,12 +76,6 @@ type Context struct {
 	// global counters. Use Scoped to derive a per-request Context from a
 	// process-wide one.
 	Record *Recorder
-
-	// spare is the lazily built semaphore of borrowable intra-job workers
-	// (Workers−1 tokens; see ForEach in parallel.go). It is scoped
-	// to this Context, so every request derived via Scoped gets its own
-	// budget.
-	spare atomic.Pointer[spareSlots]
 }
 
 // NewContext returns a Context with the given parallelism budget and a

@@ -239,6 +239,49 @@ func TestWarmStartCompilationIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestComponentSnapshotWarmStarts loads a v6 snapshot that still carries
+// the per-component slice section written by binaries that decomposed
+// slices: the load is clean, restores every entry the same snapshot
+// without that section restores, and a warm recompile reproduces the
+// schedule without solving any slice afresh.
+func TestComponentSnapshotWarmStarts(t *testing.T) {
+	sys := testSystem(16)
+	circ := bench.XEB(sys.Device, 5, 7)
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	first := compile.NewContext(1)
+	want, err := schedule.ColorDynamic{}.Compile(first, circ, sys, schedule.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Cache.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := compile.NewCache(0).LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := compile.AddComponentSection(t, path); n == 0 {
+		t.Fatal("snapshot holds no slice entries to shadow with components")
+	}
+
+	warm := compile.NewContext(1)
+	res, err := warm.Cache.LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded != "" || res.Restored != plain.Restored {
+		t.Fatalf("LoadSnapshot = %+v, want a clean load of the %d entries the plain snapshot restores", res, plain.Restored)
+	}
+	got, err := schedule.ColorDynamic{}.Compile(warm, circ, sys, schedule.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSchedule(t, "component snapshot warm start", got, want)
+	if st := warm.Cache.StatsByRegion()[compile.RegionSlice]; st.Misses != 0 || st.Hits == 0 {
+		t.Fatalf("slice region after warm start: %+v, want hits and no misses", st)
+	}
+}
+
 // TestBatchCompileRace exercises the full pipeline concurrently with a
 // shared cache; meaningful under -race.
 func TestBatchCompileRace(t *testing.T) {

@@ -73,7 +73,11 @@ const (
 // tiered warm-cache subsystem: route and circ entries persist through the
 // content-addressed circuit store, and snapshots from the previous key
 // generation are no longer rejected wholesale — Load re-keys them through
-// the registered migration step (see migrate.go) instead.
+// the registered migration step (see migrate.go) instead. Component keys
+// are no longer written since the slice solver went back to solving each
+// missed slice whole; whole-slice keys did not change, so the version
+// stays 6, and component entries in older v6 snapshots are ignored on
+// load.
 const KeyVersion = 6
 
 type hasher struct{ h uint64 }
@@ -200,25 +204,23 @@ func RouteKey(circ *circuit.Circuit, devSig string, opts mapping.Options) string
 // Callers on the hot path pass an already-sorted slice, which skips the
 // defensive copy; unsorted input is copied and sorted, never mutated.
 func SliceKey(sysSig string, distance, budget int, activeVertices []int) string {
-	return sliceKey("v%d|%s|%d|%d|", sysSig, distance, budget, activeVertices)
-}
-
-// SliceComponentKey is the cache key of one connected component of a
-// slice's active interaction subgraph, solved (colored) in isolation. It
-// lives in the slice region next to whole-slice keys but under a distinct
-// shape: the "c" tag after the version makes a component key one
-// '|'-separated field longer than any whole-slice key, and since neither
-// the signature nor the vertex encoding can contain '|', the two shapes
-// can never alias. Sharing the region means component solutions inherit
-// the slice region's persistence and size accounting for free.
-//
-// Component keys are what turn slice caching from whole-pattern matching
-// into motif matching: two slices that differ globally but share a local
-// gate cluster hit the same component entry, so large circuits whose
-// slices recombine a few local motifs stop missing on every new
-// combination.
-func SliceComponentKey(sysSig string, distance, budget int, componentVerts []int) string {
-	return sliceKey("v%d|c|%s|%d|%d|", sysSig, distance, budget, componentVerts)
+	verts := activeVertices
+	if !sort.IntsAreSorted(verts) {
+		verts = append([]int(nil), activeVertices...)
+		sort.Ints(verts)
+	}
+	var sb strings.Builder
+	sb.Grow(len(sysSig) + 18 + 3*len(verts))
+	fmt.Fprintf(&sb, "v%d|%s|%d|%d|", KeyVersion, sysSig, distance, budget)
+	prev := 0
+	for i, v := range verts {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.FormatInt(int64(v-prev), 16))
+		prev = v
+	}
+	return sb.String()
 }
 
 // CircuitKey is the cache key of one analyzed circuit (the circ region):
@@ -230,24 +232,4 @@ func SliceComponentKey(sysSig string, distance, budget int, componentVerts []int
 // canonical circuit restores under exactly the key the memo will probe.
 func CircuitKey(circ *circuit.Circuit, sig string) string {
 	return fmt.Sprintf("%d|%d|%s", circ.NumQubits, len(circ.Gates), sig)
-}
-
-func sliceKey(format, sysSig string, distance, budget int, vertices []int) string {
-	verts := vertices
-	if !sort.IntsAreSorted(verts) {
-		verts = append([]int(nil), vertices...)
-		sort.Ints(verts)
-	}
-	var sb strings.Builder
-	sb.Grow(len(sysSig) + 18 + 3*len(verts))
-	fmt.Fprintf(&sb, format, KeyVersion, sysSig, distance, budget)
-	prev := 0
-	for i, v := range verts {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatInt(int64(v-prev), 16))
-		prev = v
-	}
-	return sb.String()
 }

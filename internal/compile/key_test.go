@@ -157,7 +157,7 @@ func TestKeySchemaDrift(t *testing.T) {
 	// pinned alongside it.
 	assertExactFields(t, reflect.TypeOf(diskSnapshot{}), "the snapshot codec (Save/Load)",
 		"Magic", "Version", "KeyVersion", "SMT", "Park",
-		"Slice", "SliceComp", "Static", "Circuits", "Route", "Circ")
+		"Slice", "Static", "Circuits", "Route", "Circ")
 	assertExactFields(t, reflect.TypeOf(persistedRoute{}), "the snapshot codec (Save/Load)",
 		"RoutedSig", "LogToPhys", "PhysToLog", "Inserted", "SwapCount")
 	assertExactFields(t, reflect.TypeOf(mapping.Result{}), "the snapshot codec (persistedRoute)",

@@ -24,19 +24,16 @@ type smtResult struct {
 // including under concurrency (misses go through the cache's single-flight
 // layer; the solve outcome embeds its error, so infeasibility verdicts are
 // cached and deduplicated like solutions). The returned slice is shared;
-// callers must not mutate it. Misses evaluate the solver's bisection
-// probes on the Context's spare workers when any are free — SolveWith's
-// speculative tree is byte-identical to the serial search, so the cached
-// value does not depend on how many workers happened to be idle.
+// callers must not mutate it.
 func (c *Context) SolveSMT(k int, cfg smt.Config) ([]float64, float64, error) {
 	cache := c.cache()
 	if cache == nil {
 		c.record(RegionSMT, false)
-		return smt.SolveWith(k, cfg, c.parallelFor())
+		return smt.Solve(k, cfg)
 	}
 	v, tier, _ := cache.DoTiered(RegionSMT, SMTKey(k, cfg), func() (any, error) {
 		faultpoint.Sleep(faultpoint.SolveSlow)
-		xs, delta, err := smt.SolveWith(k, cfg, c.parallelFor())
+		xs, delta, err := smt.Solve(k, cfg)
 		return smtResult{xs: xs, delta: delta, err: err}, nil
 	})
 	c.recordTier(RegionSMT, tier)
@@ -163,49 +160,6 @@ func (c *Context) Slice(key string, compute func() (SliceSolution, error)) (Slic
 		return SliceSolution{}, err
 	}
 	return v.(SliceSolution), nil
-}
-
-// ComponentSolution is the cached coloring of one connected component of a
-// slice's active interaction subgraph, solved in isolation (keyed by
-// SliceComponentKey, stored in the slice region). It deliberately carries
-// no frequency assignment: frequencies depend on the whole slice's color
-// count, so the scheduler merges component colorings first and runs one
-// SMT solve on the merged result. All fields are shared read-only.
-type ComponentSolution struct {
-	// Coloring assigns each crosstalk-graph vertex of the component its
-	// color, densely indexed by vertex id up to the component's maximum
-	// vertex (Uncolored elsewhere). Colors are contiguous from 0.
-	Coloring graph.Coloring
-	// Deferred lists, in ascending order, the component vertices that did
-	// not fit the color budget.
-	Deferred []int
-	// NumColors is the number of colors used (0 for an empty component).
-	NumColors int
-	// Counts holds each color's occupancy within the component, indexed by
-	// color; the merged slice's occupancy is the per-color sum over its
-	// components.
-	Counts []int
-}
-
-// SliceComponent returns the memoized solution for one connected component
-// of a slice's active subgraph, computing it on a miss. Compute must be a
-// pure function of the key. Component entries share the slice region —
-// and therefore its persistence — with whole-slice solutions; the key
-// shapes are disjoint (see SliceComponentKey).
-func (c *Context) SliceComponent(key string, compute func() (ComponentSolution, error)) (ComponentSolution, error) {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionSlice, false)
-		return compute()
-	}
-	v, tier, err := cache.DoTiered(RegionSlice, key, func() (any, error) {
-		return compute()
-	})
-	c.recordTier(RegionSlice, tier)
-	if err != nil {
-		return ComponentSolution{}, err
-	}
-	return v.(ComponentSolution), nil
 }
 
 // Parking returns the memoized parking-frequency assignment for a system

@@ -35,11 +35,13 @@ var snapshotMigrations = map[int]snapshotMigration{
 // migrateSnapshotV5toV6 carries a v5 snapshot (KeyVersion 5) into the v6
 // format. The v5→v6 bump changed no key *payload* — only the generation
 // prefix of the versioned slice keys — so the step rewrites "v5|…" to
-// "v6|…" for whole-slice and component entries and passes the unversioned
-// regions (SMT, park, static) through untouched. The v6-only sections
-// (circuit pool, route, circ) start empty: a v5 snapshot never carried
-// them, so those regions warm up cold. Keys that do not carry the exact
-// "v5|" prefix are dropped rather than guessed at.
+// "v6|…" for whole-slice entries and passes the unversioned regions (SMT,
+// park, static) through untouched. A v5 snapshot's per-component entries
+// are not carried forward: the slice solver no longer reads them, and gob
+// skips their section because diskSnapshot has no field for it. The
+// v6-only sections (circuit pool, route, circ) start empty: a v5 snapshot
+// never carried them, so those regions warm up cold. Keys that do not
+// carry the exact "v5|" prefix are dropped rather than guessed at.
 func migrateSnapshotV5toV6(snap *diskSnapshot) int {
 	if snap.KeyVersion != 5 {
 		// Not the key generation this step knows how to re-key: advance
@@ -50,7 +52,6 @@ func migrateSnapshotV5toV6(snap *diskSnapshot) int {
 	}
 	n := 0
 	snap.Slice = rekeyVersionPrefix(snap.Slice, "v5|", "v6|", &n)
-	snap.SliceComp = rekeyVersionPrefix(snap.SliceComp, "v5|", "v6|", &n)
 	snap.Version = 6
 	snap.KeyVersion = 6
 	return n

@@ -28,7 +28,7 @@ func routedOnto(t *testing.T, c *circuit.Circuit, sys *phys.System) *circuit.Cir
 
 // randomNativeCircuit builds a random circuit whose two-qubit gates all land
 // on couplers of a square-grid device, mixing sparse and dense slices so the
-// active subgraphs span one-component and many-component shapes.
+// active subgraphs span connected and scattered shapes.
 func randomNativeCircuit(dev interface {
 	Edges() []graph.Edge
 }, nQubits int, nGates int, seed int64) *circuit.Circuit {
@@ -49,13 +49,12 @@ func randomNativeCircuit(dev interface {
 	return c
 }
 
-// TestParallelCompilationMatchesSerialReference is the determinism contract
-// of the intra-circuit parallel path: compiling with a multi-worker cached
-// Context — component fan-out and parallel SMT probes both active — must
-// produce schedules byte-identical to the nil-Context
-// serial reference, across the Fig 9–13 workload shapes and randomized
-// circuits. Run under -race this doubles as the data-race proof for the
-// speculative machinery.
+// TestParallelCompilationMatchesSerialReference is the determinism
+// contract of the cache: compiling with a multi-worker cached Context must
+// produce schedules byte-identical to the nil-Context compile, on a cold
+// cache and again on the warm one, across the Fig 9–13 workload shapes and
+// randomized circuits. Run under -race this doubles as the data-race proof
+// for the shared cache.
 func TestParallelCompilationMatchesSerialReference(t *testing.T) {
 	sys := testSystem(16)
 	circs := map[string]*circuit.Circuit{
@@ -73,9 +72,8 @@ func TestParallelCompilationMatchesSerialReference(t *testing.T) {
 			label := comp.Name() + "/" + name
 			want, err := comp.Compile(nil, c, sys, schedule.Options{})
 			if err != nil {
-				t.Fatalf("%s serial: %v", label, err)
+				t.Fatalf("%s nil Context: %v", label, err)
 			}
-			// Cold cache, then warm: both must reproduce the reference.
 			for _, pass := range []string{"cold", "warm"} {
 				got, err := comp.Compile(ctx, c, sys, schedule.Options{})
 				if err != nil {
@@ -87,11 +85,14 @@ func TestParallelCompilationMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestComponentDecompositionMatchesMonolith pins the component solver
-// against the pre-decomposition monolithic slice solve at its most
-// sensitive spot: a constrained color budget, where deferral decisions
-// must agree exactly between the merged component colorings and the
-// whole-subgraph coloring.
+// TestComponentDecompositionMatchesMonolith pins the slice solve at its
+// most sensitive spot: a constrained color budget, where deferral
+// decisions depend on the exact coloring of each slice's active subgraph.
+// The nil-Context compile colors every slice whole, with no memo to
+// consult; a cached multi-worker Context must agree with it exactly. The
+// cases once caught any drift between the per-component merge and the
+// whole-subgraph coloring; they now guard the whole-slice memo the same
+// way.
 func TestComponentDecompositionMatchesMonolith(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 5, 11)
@@ -99,11 +100,11 @@ func TestComponentDecompositionMatchesMonolith(t *testing.T) {
 		opts := schedule.Options{MaxColors: maxColors}
 		want, err := schedule.ColorDynamic{}.Compile(nil, c, sys, opts)
 		if err != nil {
-			t.Fatalf("serial maxColors=%d: %v", maxColors, err)
+			t.Fatalf("nil Context maxColors=%d: %v", maxColors, err)
 		}
 		got, err := schedule.ColorDynamic{}.Compile(compile.NewContext(4), c, sys, opts)
 		if err != nil {
-			t.Fatalf("parallel maxColors=%d: %v", maxColors, err)
+			t.Fatalf("cached maxColors=%d: %v", maxColors, err)
 		}
 		sameSchedule(t, fmt.Sprintf("maxColors=%d", maxColors), got, want)
 	}

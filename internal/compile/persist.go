@@ -37,7 +37,11 @@ import (
 // tiered warm-cache subsystem (KeyVersion 6): the snapshot gains a
 // content-addressed pool of canonically encoded circuits plus route and
 // circ sections referencing it, and v5 snapshots are the first to migrate
-// forward (slice keys re-keyed v5|→v6|) instead of being dropped.
+// forward (slice keys re-keyed v5|→v6|) instead of being dropped. Since
+// the slice solver stopped decomposing slices, v6 snapshots no longer
+// carry per-component entries; gob skips the component section of a
+// snapshot written before that, so such a file still loads, minus those
+// entries, with no version bump.
 const SnapshotVersion = 6
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or a
@@ -91,12 +95,7 @@ type diskSnapshot struct {
 	SMT        map[string]persistedSMT
 	Park       map[string][]float64
 	Slice      map[string]SliceSolution
-	// SliceComp carries the slice region's per-component entries
-	// (ComponentSolution values under SliceComponentKey keys); the region
-	// holds two value shapes, and gob needs each in a concretely typed
-	// section.
-	SliceComp map[string]ComponentSolution
-	Static    []diskEntry
+	Static     []diskEntry
 	// Circuits is the content-addressed canonical-circuit pool
 	// (signature → circuit.EncodeCanonical bytes), populated since v6.
 	Circuits map[string][]byte
@@ -208,7 +207,6 @@ func (c *Cache) Save(path string) error {
 		SMT:        make(map[string]persistedSMT),
 		Park:       make(map[string][]float64),
 		Slice:      make(map[string]SliceSolution),
-		SliceComp:  make(map[string]ComponentSolution),
 		Circuits:   make(map[string][]byte),
 		Route:      make(map[string]persistedRoute),
 	}
@@ -219,11 +217,8 @@ func (c *Cache) Save(path string) error {
 		snap.Park[k] = v.([]float64)
 	}
 	for k, v := range c.regionEntries(RegionSlice) {
-		switch sol := v.(type) {
-		case SliceSolution:
+		if sol, ok := v.(SliceSolution); ok {
 			snap.Slice[k] = sol
-		case ComponentSolution:
-			snap.SliceComp[k] = sol
 		}
 	}
 	for k, v := range c.regionEntries(RegionRoute) {
@@ -415,10 +410,6 @@ func (snap *diskSnapshot) restore(put func(region, key string, value any)) int {
 		restored++
 	}
 	for k, v := range snap.Slice {
-		put(RegionSlice, k, v)
-		restored++
-	}
-	for k, v := range snap.SliceComp {
 		put(RegionSlice, k, v)
 		restored++
 	}

@@ -3,6 +3,7 @@ package compile
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -143,57 +144,137 @@ func TestSnapshotOversizeCircuitSkipped(t *testing.T) {
 	}
 }
 
-// makeV5Snapshot writes a snapshot the way a v5 binary would have: current
-// contents re-stamped to format/key version 5 with the slice keys carrying
-// the v5 generation prefix and no v6 sections.
-func makeV5Snapshot(t *testing.T, path string) (sliceKeyV6 string) {
-	t.Helper()
-	c := NewCache(0)
-	sliceKeyV6 = SliceKey("a1b2c3d4e5f60718", 2, 3, []int{1, 4, 9})
-	compKeyV6 := SliceComponentKey("a1b2c3d4e5f60718", 2, 3, []int{2, 5})
-	c.Put(RegionSlice, sliceKeyV6, SliceSolution{Coloring: graph.Coloring{0}, NumColors: 1, Assign: []float64{6.2}, Delta: 0.3})
-	c.Put(RegionSlice, compKeyV6, ComponentSolution{Coloring: graph.Coloring{0}, NumColors: 1, Counts: []int{1}})
-	c.Put(RegionSMT, "3|aa|bb|cc|dd", smtResult{xs: []float64{6.1}, delta: 0.2})
-	c.Put(RegionParking, "sysSig", []float64{5.0})
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap diskSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.Version = 5
-	snap.KeyVersion = 5
-	reslice := make(map[string]SliceSolution, len(snap.Slice))
-	for k, v := range snap.Slice {
-		reslice[strings.Replace(k, "v6|", "v5|", 1)] = v
-	}
-	snap.Slice = reslice
-	recomp := make(map[string]ComponentSolution, len(snap.SliceComp))
-	for k, v := range snap.SliceComp {
-		recomp[strings.Replace(k, "v6|", "v5|", 1)] = v
-	}
-	snap.SliceComp = recomp
-	snap.Circuits, snap.Route, snap.Circ = nil, nil, nil
+// componentSolution mirrors the per-component slice value that binaries
+// from before the whole-slice solver persisted; gob matches fields by
+// name, so encoding it reproduces their SliceComp section.
+type componentSolution struct {
+	Coloring  graph.Coloring
+	Deferred  []int
+	NumColors int
+	Counts    []int
+}
+
+// componentSnapshot is the snapshot layout written while the slice solver
+// still split each slice into connected components: diskSnapshot plus a
+// SliceComp section of per-component entries, keyed "v<N>|c|" + the rest
+// of a slice key.
+type componentSnapshot struct {
+	Magic      string
+	Version    int
+	KeyVersion int
+	SMT        map[string]persistedSMT
+	Park       map[string][]float64
+	Slice      map[string]SliceSolution
+	SliceComp  map[string]componentSolution
+	Static     []diskEntry
+	Circuits   map[string][]byte
+	Route      map[string]persistedRoute
+	Circ       []string
+}
+
+func writeGob(tb testing.TB, path string, v any) {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		tb.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+}
+
+// AddComponentSection rewrites the plain snapshot at path in the
+// component-carrying layout, with one component entry per whole-slice
+// entry (the entry a single-component slice produced), and returns how
+// many it added. It lives in this internal test file so that the external
+// warm-start tests can build such a snapshot from a real compile.
+func AddComponentSection(tb testing.TB, path string) int {
+	tb.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var snap componentSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	prefix := fmt.Sprintf("v%d|", snap.KeyVersion)
+	snap.SliceComp = make(map[string]componentSolution, len(snap.Slice))
+	for k, sol := range snap.Slice {
+		snap.SliceComp[prefix+"c|"+strings.TrimPrefix(k, prefix)] = componentSolution{
+			Coloring:  sol.Coloring,
+			Deferred:  sol.Deferred,
+			NumColors: sol.NumColors,
+			Counts:    sol.Coloring.ColorCounts(),
+		}
+	}
+	writeGob(tb, path, snap)
+	return len(snap.SliceComp)
+}
+
+// TestSnapshotRoundTripComponentSolutions round-trips a whole-slice entry
+// through a snapshot that also carries the per-component section older
+// v6 binaries wrote. The load is clean, the whole-slice entry comes back
+// unchanged, and the component entries are dropped: nothing reads them.
+func TestSnapshotRoundTripComponentSolutions(t *testing.T) {
+	c := NewCache(0)
+	whole := SliceSolution{
+		Coloring:  graph.Coloring{-1, 0, 1, 0},
+		NumColors: 2,
+		Assign:    []float64{6.4, 6.1},
+		Delta:     0.25,
+	}
+	wholeKey := SliceKey("sig", 2, 2, []int{1, 2, 3})
+	c.Put(RegionSlice, wholeKey, whole)
+
+	path := snapshotPath(t)
+	if err := c.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if n := AddComponentSection(t, path); n != 1 {
+		t.Fatalf("added %d component entries, want 1", n)
+	}
+	fresh := NewCache(0)
+	res, err := fresh.LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("LoadSnapshot: %v", err)
+	}
+	if res.Degraded != "" || res.Restored != 1 || fresh.Len() != 1 {
+		t.Fatalf("LoadSnapshot = %+v with %d entries, want a clean load of the 1 whole-slice entry", res, fresh.Len())
+	}
+	if v, ok := fresh.Get(RegionSlice, wholeKey); !ok || !reflect.DeepEqual(v, whole) {
+		t.Fatalf("whole-slice entry after round trip = %+v (ok=%v), want %+v", v, ok, whole)
+	}
+}
+
+// makeV5Snapshot writes a snapshot the way a v5 binary would have: format
+// and key version 5, versioned slice keys carrying the v5 prefix, a
+// component entry beside the whole-slice one, and no v6 sections.
+func makeV5Snapshot(t *testing.T, path string) (sliceKeyV6 string) {
+	t.Helper()
+	sliceKeyV6 = SliceKey("a1b2c3d4e5f60718", 2, 3, []int{1, 4, 9})
+	writeGob(t, path, componentSnapshot{
+		Magic:      snapshotMagic,
+		Version:    5,
+		KeyVersion: 5,
+		SMT:        map[string]persistedSMT{"3|aa|bb|cc|dd": {Xs: []float64{6.1}, Delta: 0.2}},
+		Park:       map[string][]float64{"sysSig": {5.0}},
+		Slice: map[string]SliceSolution{
+			strings.Replace(sliceKeyV6, "v6|", "v5|", 1): {Coloring: graph.Coloring{0}, NumColors: 1, Assign: []float64{6.2}, Delta: 0.3},
+		},
+		SliceComp: map[string]componentSolution{
+			"v5|c|a1b2c3d4e5f60718|2|3|2,3": {Coloring: graph.Coloring{0}, NumColors: 1, Counts: []int{1}},
+		},
+	})
 	return sliceKeyV6
 }
 
 // TestSnapshotMigratesV5 is the migration round-trip pinned by the
 // acceptance criteria: a snapshot written at the previous
 // SnapshotVersion/KeyVersion restores > 0 entries after the bump, with
-// the versioned slice keys re-keyed to the current generation so the memo
-// actually hits them.
+// the versioned slice key re-keyed to the current generation so the memo
+// actually hits it. The component entry is dropped: the slice solver no
+// longer reads component keys.
 func TestSnapshotMigratesV5(t *testing.T) {
 	path := snapshotPath(t)
 	sliceKeyV6 := makeV5Snapshot(t, path)
@@ -208,11 +289,11 @@ func TestSnapshotMigratesV5(t *testing.T) {
 	if res.FromVersion != 5 {
 		t.Fatalf("FromVersion = %d, want 5", res.FromVersion)
 	}
-	if res.Restored != 4 {
-		t.Fatalf("Restored = %d, want all 4 entries", res.Restored)
+	if res.Restored != 3 {
+		t.Fatalf("Restored = %d, want the 3 non-component entries", res.Restored)
 	}
-	if res.Migrated != 2 {
-		t.Fatalf("Migrated = %d, want the 2 versioned slice keys", res.Migrated)
+	if res.Migrated != 1 {
+		t.Fatalf("Migrated = %d, want the 1 versioned slice key", res.Migrated)
 	}
 	// The re-keyed entry must hit under the *current* key the memo builds.
 	if _, ok := c.Get(RegionSlice, sliceKeyV6); !ok {

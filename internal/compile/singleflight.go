@@ -17,10 +17,10 @@ import "sync"
 // Panics propagate: if fn panics, the leader's panic is re-raised in the
 // leader AND in every waiter of that flight, and the key is forgotten.
 // Without this, a panicking compute would strand its waiters on a
-// WaitGroup that never completes — a deadlock that matters now that a
-// compilation's own speculative workers (the component fan-out) race the
-// main thread to the same keys while the batch engine's per-job panic
-// guard expects the panic, not a hang.
+// WaitGroup that never completes. Two jobs of one batch, or two daemon
+// requests, can race to the same key, and the engine's per-job recover
+// (runOne, exercised by the job.panic fault point) expects each of them
+// to get the panic, not a hang.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall

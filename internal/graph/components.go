@@ -4,9 +4,7 @@ package graph
 // per component. The decomposition is canonical: within a component the
 // vertices are ascending, and components are ordered by their smallest
 // vertex (the BFS scans roots in ascending id order, so each root is its
-// component's minimum). Callers that solve components independently — the
-// per-slice component solver — rely on this order to merge results
-// deterministically. An empty graph yields nil.
+// component's minimum). An empty graph yields nil.
 func (g *Graph) Components() [][]int {
 	var comps [][]int
 	visited := make([]bool, len(g.adj))

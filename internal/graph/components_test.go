@@ -40,7 +40,7 @@ func TestComponentsConnectedGraph(t *testing.T) {
 
 func TestComponentsOfSubgraph(t *testing.T) {
 	// A path 0-1-2-3-4: dropping vertex 2 splits the induced subgraph in
-	// two — the decomposition the per-slice component solver relies on.
+	// two.
 	g := New()
 	for v := 0; v < 4; v++ {
 		g.AddEdge(v, v+1)

@@ -143,23 +143,7 @@ func reconstruct(prev []int32, a, b int) []int {
 // Connected reports whether g is connected (the empty graph counts as
 // connected).
 func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	first := -1
-	for v := 0; v < g.Cap(); v++ {
-		if g.HasNode(v) {
-			first = v
-			break
-		}
-	}
-	dist := g.BFSDistances(first)
-	for v, d := range dist {
-		if g.HasNode(v) && d == Unreachable {
-			return false
-		}
-	}
-	return true
+	return len(g.Components()) <= 1
 }
 
 // DistanceMatrix is the flat all-pairs BFS distance table of a graph:

@@ -74,7 +74,7 @@ var DefaultKeySchema = map[string]KeySchema{
 	"fastsc/internal/compile.diskSnapshot": {
 		KeyFunc: "the snapshot codec (compile.Save/Load)",
 		Fields: []string{"Magic", "Version", "KeyVersion", "SMT", "Park",
-			"Slice", "SliceComp", "Static", "Circuits", "Route", "Circ"},
+			"Slice", "Static", "Circuits", "Route", "Circ"},
 	},
 	"fastsc/internal/compile.persistedRoute": {
 		KeyFunc: "the snapshot codec (compile.Save/Load)",

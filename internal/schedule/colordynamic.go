@@ -135,123 +135,36 @@ func (b *builder) admitReady(ready []int, scr *sliceScratch) {
 // solveSlice produces the coloring + frequency assignment for the active
 // gate set staged in scr, through the per-slice cache when one is attached.
 // The key is the exact sorted active vertex set of the interaction subgraph
-// on this system. A whole-slice miss decomposes the subgraph into its
-// connected components, solves (and memoizes) each independently, and
-// merges — see computeSlice.
+// on this system.
 func (b *builder) solveSlice(scr *sliceScratch, intCfg smt.Config, budget int) (compile.SliceSolution, error) {
 	scr.keyVerts = append(scr.keyVerts[:0], scr.activeVerts...)
 	sort.Ints(scr.keyVerts)
 	key := compile.SliceKey(b.sig, b.xg.Distance, budget, scr.keyVerts)
 	return b.ctx.Slice(key, func() (compile.SliceSolution, error) {
-		return b.computeSlice(scr, intCfg, budget)
+		return b.computeSlice(scr.keyVerts, intCfg, budget)
 	})
 }
 
-// computeSlice is the whole-slice miss path: it splits the active
-// interaction subgraph into connected components, solves each in isolation
-// (fanning independent components across the Context's spare workers —
-// results land in index-addressed slots, so scheduling cannot affect the
-// merge), and merges them. Decomposition is exact, not heuristic: the
-// active subgraph is vertex-induced, so no crosstalk edge crosses a
-// component boundary, and the greedy coloring of a component is identical
-// whether the rest of the slice exists or not (Welsh–Powell order and
-// greedy color choice only read intra-component degrees and neighbors).
-// Component solutions are what turn the slice cache into a motif cache:
-// two globally distinct slices that share a local gate cluster reuse its
-// entry.
-func (b *builder) computeSlice(scr *sliceScratch, intCfg smt.Config, budget int) (compile.SliceSolution, error) {
-	comps := b.xg.ActiveComponents(scr.keyVerts)
-	sols := make([]compile.ComponentSolution, len(comps))
-	errs := make([]error, len(comps))
-	b.ctx.ForEach(len(comps), func(i int) {
-		sols[i], errs[i] = b.solveComponent(comps[i], budget)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return compile.SliceSolution{}, err
-		}
-	}
-	return b.mergeComponents(scr.keyVerts, sols, intCfg)
-}
-
-// solveComponent colors one connected component of the active subgraph in
-// isolation, through the slice region's component cache.
-func (b *builder) solveComponent(verts []int, budget int) (compile.ComponentSolution, error) {
-	key := compile.SliceComponentKey(b.sig, b.xg.Distance, budget, verts)
-	return b.ctx.SliceComponent(key, func() (compile.ComponentSolution, error) {
-		h := b.xg.G.Subgraph(verts)
-		coloring, deferred := graph.BoundedColoring(h, budget)
-		return compile.ComponentSolution{
-			Coloring:  coloring,
-			Deferred:  deferred,
-			NumColors: coloring.NumColors(),
-			Counts:    coloring.ColorCounts(),
-		}, nil
-	})
-}
-
-// mergeComponents reassembles a whole-slice solution from its component
-// solutions. The merge reproduces the monolithic solve field for field:
-// greedy colors are contiguous from 0 within every component, so the
-// slice's color count is the max over components; per-color occupancy is
-// the per-color sum; the deferred set is the sorted union; and exactly one
-// SMT solve runs, for the merged color count — the frequencies depend on
-// the whole slice's k, never on any single component, which is why
-// ComponentSolution carries no frequencies. The merged coloring spans
-// vertices 0..max(keyVerts), matching graph.Subgraph's capacity convention
-// on the monolithic path (an empty slice yields the empty non-nil
-// coloring, same as NewColoring(0)).
+// computeSlice is the whole-slice miss path (Algorithm 1 lines 17–22): it
+// colors the active interaction subgraph within the color budget, runs one
+// SMT solve for the color count, and maps colors to frequencies by
+// occupancy (§V-B3). An empty subgraph needs no solve.
 //
-//fastsc:hotpath the merge runs once per whole-slice miss between the component fan-out and the schedule's issue loop (BenchmarkLargeCircuitCompile guards it); nothing here may allocate a map, call fmt, or box
-func (b *builder) mergeComponents(keyVerts []int, sols []compile.ComponentSolution, intCfg smt.Config) (compile.SliceSolution, error) {
-	span := 0
-	if len(keyVerts) > 0 {
-		span = keyVerts[len(keyVerts)-1] + 1
+//fastsc:hotpath runs once per whole-slice cache miss (BenchmarkLargeCircuitCompile guards it); nothing here may allocate a map, call fmt, or box
+func (b *builder) computeSlice(keyVerts []int, intCfg smt.Config, budget int) (compile.SliceSolution, error) {
+	h := b.xg.G.Subgraph(keyVerts)
+	coloring, deferred := graph.BoundedColoring(h, budget)
+	sol := compile.SliceSolution{Coloring: coloring, Deferred: deferred, NumColors: coloring.NumColors()}
+	if sol.NumColors == 0 {
+		return sol, nil
 	}
-	merged := graph.NewColoring(span)
-	k := 0
-	var deferred []int
-	for i := range sols {
-		sol := &sols[i]
-		if sol.NumColors > k {
-			k = sol.NumColors
-		}
-		for v, c := range sol.Coloring {
-			if c != graph.Uncolored {
-				merged[v] = c
-			}
-		}
-		deferred = append(deferred, sol.Deferred...)
+	freqs, delta, err := b.ctx.SolveSMT(sol.NumColors, intCfg)
+	if err != nil {
+		return compile.SliceSolution{}, err
 	}
-	sort.Ints(deferred)
-	var freqs []float64
-	delta := 0.0
-	if k > 0 {
-		var err error
-		freqs, delta, err = b.ctx.SolveSMT(k, intCfg)
-		if err != nil {
-			return compile.SliceSolution{}, err
-		}
-	}
-	// Occupancy-ordered color -> frequency map (§V-B3), over the summed
-	// per-color occupancy of all components.
-	var assign []float64
-	if k > 0 {
-		counts := make([]int, k)
-		for i := range sols {
-			for c, n := range sols[i].Counts {
-				counts[c] += n
-			}
-		}
-		assign = smt.AssignByOccupancy(counts, freqs)
-	}
-	return compile.SliceSolution{
-		Coloring:  merged,
-		Deferred:  deferred,
-		NumColors: k,
-		Assign:    assign,
-		Delta:     delta,
-	}, nil
+	sol.Assign = smt.AssignByOccupancy(coloring.ColorCounts(), freqs)
+	sol.Delta = delta
+	return sol, nil
 }
 
 func mustVertex(b *builder, e graph.Edge) int {

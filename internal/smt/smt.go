@@ -85,32 +85,11 @@ func Feasible(k int, cfg Config, delta float64) ([]float64, bool) {
 	return xs, true
 }
 
-// ParallelFor evaluates fn(0), …, fn(n−1), possibly concurrently, and
-// returns once every call has finished. Callers hand one to SolveWith to
-// lend the solver spare workers (compile.Context.ForEach satisfies it); a
-// nil ParallelFor means strictly serial evaluation.
-type ParallelFor func(n int, fn func(int))
-
 // Solve finds k frequencies in cfg's band maximizing the separation
 // threshold δ by binary search (the paper's smt_find). It returns the
 // ascending frequencies and the achieved δ, or ErrInfeasible when even the
-// minimum separation cannot be met. Solve is SolveWith without parallelism.
+// minimum separation cannot be met.
 func Solve(k int, cfg Config) ([]float64, float64, error) {
-	return SolveWith(k, cfg, nil)
-}
-
-// SolveWith is Solve with an optional parallel evaluator for the
-// feasibility probes of the binary search. The result is byte-identical to
-// the serial search regardless of par: instead of reordering probes, the
-// parallel path speculates — each round evaluates the serial search's next
-// midpoint m0 together with both midpoints the round after could need
-// ((lo+m0)/2 if m0 fails, (m0+hi)/2 if it succeeds), then walks two serial
-// steps through the answers. All three candidate deltas are computed with
-// the exact float expressions the serial loop would use, so 25 speculative
-// rounds reproduce the serial loop's 50 iterations bit-for-bit, one of the
-// three probes per round being discarded. Feasibility is monotone in δ, so
-// no other probe outcome can disagree with the serial path.
-func SolveWith(k int, cfg Config, par ParallelFor) ([]float64, float64, error) {
 	if k <= 0 {
 		return nil, 0, nil
 	}
@@ -130,39 +109,12 @@ func SolveWith(k int, cfg Config, par ParallelFor) ([]float64, float64, error) {
 		xs, _ := Feasible(1, cfg, minD)
 		return xs, hi, nil
 	}
-	if par == nil {
-		for i := 0; i < 50; i++ {
-			mid := (lo + hi) / 2
-			if _, ok := Feasible(k, cfg, mid); ok {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-	} else {
-		var deltas [3]float64
-		var ok [3]bool
-		for r := 0; r < 25; r++ {
-			m0 := (lo + hi) / 2
-			deltas[0] = m0
-			deltas[1] = (lo + m0) / 2 // next midpoint if m0 is infeasible
-			deltas[2] = (m0 + hi) / 2 // next midpoint if m0 is feasible
-			feasibleScan(k, cfg, &deltas, &ok, par)
-			if ok[0] {
-				lo = m0
-				if ok[2] {
-					lo = deltas[2]
-				} else {
-					hi = deltas[2]
-				}
-			} else {
-				hi = m0
-				if ok[1] {
-					lo = deltas[1]
-				} else {
-					hi = deltas[1]
-				}
-			}
+	for i := 0; i < 50; i++ {
+		mid := (lo + hi) / 2
+		if _, ok := Feasible(k, cfg, mid); ok {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
 	xs, ok := Feasible(k, cfg, lo)
@@ -172,16 +124,6 @@ func SolveWith(k int, cfg Config, par ParallelFor) ([]float64, float64, error) {
 		return xs, minD, nil
 	}
 	return xs, lo, nil
-}
-
-// feasibleScan evaluates the three speculative probes of one bisection
-// round through par, writing each verdict to ok[i].
-//
-//fastsc:hotpath the probe fan-out runs 25 times per SMT solve on the slice-miss path (BenchmarkSMTSolve guards it); nothing here may allocate a map, call fmt, or box
-func feasibleScan(k int, cfg Config, deltas *[3]float64, ok *[3]bool, par ParallelFor) {
-	par(3, func(i int) {
-		_, ok[i] = Feasible(k, cfg, deltas[i])
-	})
 }
 
 // Verify checks that xs satisfies the constraint system at separation delta

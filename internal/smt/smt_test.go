@@ -296,3 +296,17 @@ func TestSolvePropertyAlwaysValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkSMTSolve measures one 8-color bisection, the solve a slice miss
+// pays when its color count is not cached yet.
+func BenchmarkSMTSolve(b *testing.B) {
+	cfg := Config{Lo: 5.0, Hi: 7.0, Alpha: -0.2}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Solve(8, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

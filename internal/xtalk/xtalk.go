@@ -190,19 +190,6 @@ func (x *Graph) ActiveSubgraph(active []graph.Edge) *graph.Graph {
 	return x.G.Subgraph(verts)
 }
 
-// ActiveComponents splits an active vertex set into the connected
-// components of its induced crosstalk subgraph (the same graph
-// ActiveSubgraph builds, here addressed by vertex ids directly). Each
-// component lists its vertices ascending; components are ordered by their
-// smallest vertex. Because the active subgraph is vertex-induced, coloring
-// each component's own induced subgraph independently and merging is
-// exactly equivalent to coloring the whole active subgraph — no crosstalk
-// edge crosses a component boundary by construction — which is what lets
-// the scheduler solve (and memoize) components in isolation.
-func (x *Graph) ActiveComponents(activeVerts []int) [][]int {
-	return x.G.Subgraph(activeVerts).Components()
-}
-
 // NeighborsOf returns the couplers adjacent (in the crosstalk graph) to the
 // coupler between a and b, i.e. every coupler that would conflict with a
 // simultaneous gate on (a,b).

@@ -189,41 +189,3 @@ func TestCrosstalkContainsLineGraphProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestActiveComponents(t *testing.T) {
-	// Path of 10 qubits, d=1: couplers e0..e8. Active couplers e0, e1 and
-	// e5 split into two components — e0/e1 share qubit 1, while e5 sits at
-	// edge distance 3 from e1, beyond d=1.
-	x := Build(topology.Linear(10), 1)
-	v0, _ := x.VertexOf(0, 1)
-	v1, _ := x.VertexOf(1, 2)
-	v5, _ := x.VertexOf(5, 6)
-	want := [][]int{{v0, v1}, {v5}}
-	if got := x.ActiveComponents([]int{v5, v1, v0}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ActiveComponents = %v, want %v", got, want)
-	}
-}
-
-func TestActiveComponentsMatchActiveSubgraph(t *testing.T) {
-	// The components of the active vertex set must be exactly the
-	// components of the subgraph ActiveSubgraph builds from the
-	// corresponding couplers — the two entry points describe one graph.
-	x := Build(topology.Grid(4, 4), 2)
-	active := []graph.Edge{
-		graph.NewEdge(0, 1), graph.NewEdge(2, 3),
-		graph.NewEdge(12, 13), graph.NewEdge(14, 15),
-	}
-	verts := make([]int, 0, len(active))
-	for _, e := range active {
-		v, ok := x.VertexOf(e.U, e.V)
-		if !ok {
-			t.Fatalf("no coupler for %v", e)
-		}
-		verts = append(verts, v)
-	}
-	got := x.ActiveComponents(verts)
-	want := x.ActiveSubgraph(active).Components()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ActiveComponents = %v, ActiveSubgraph components = %v", got, want)
-	}
-}

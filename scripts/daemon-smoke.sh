@@ -8,8 +8,8 @@
 #   3. resubmit the identical batch; assert the request-scoped cache hit
 #      rate exceeds 0.90
 #   4. assert /metrics exports nonzero cache-region hit counters
-#   5. submit one deep 36-qubit circuit with workers > 1 (the
-#      intra-circuit parallel path) and assert it completes and reports
+#   5. submit one deep 36-qubit circuit with workers > 1 (a batch of one
+#      job, which runs on one worker) and assert it completes and reports
 #      into the fastscd_batch_duration_seconds histogram
 #   6. SIGTERM; assert a clean exit that persisted the snapshot
 #   7. restart against the snapshot; assert a warm start
@@ -133,9 +133,9 @@ echo "== single large circuit with workers > 1 must compile and report batch dur
 LARGE_REQ="$WORKDIR/large-request.json"
 python3 - "$LARGE_REQ" <<'PYEOF'
 import json, random, sys
-# One deep circuit on a 6x6 grid: enough scattered slices that the
-# request exercises the intra-circuit parallel path (component fan-out)
-# that workers > 1 enables for a single job.
+# One deep circuit on a 6x6 grid: enough scattered slices that most
+# slices miss the cache. A worker budget larger than the batch must not
+# change how the single job compiles or reports.
 rows = cols = 6
 n = rows * cols
 couplers = []
