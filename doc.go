@@ -32,8 +32,8 @@
 // it), shards its lock across a power of two of independent LRU lists so
 // large worker pools do not serialize, weighs entries by approximate byte
 // size when evicting (a crosstalk graph pays for the slice entries it
-// displaces), and snapshots its process-independent regions to disk
-// (versioned gob; see compile.Cache.Save/Load). Both CLIs expose the
+// displaces), and snapshots its solver results to disk (versioned gob;
+// see compile.Cache.Save/Load). Both CLIs expose the
 // snapshot as -cache-file, so repeated sweeps start warm; a missing,
 // corrupt or version-mismatched snapshot silently degrades to a cold
 // cache.

@@ -49,13 +49,6 @@ type Analysis struct {
 	// inter[q] counts the two-qubit gates touching qubit q — the
 	// interaction degree the degree-matching placement reads.
 	inter []int32
-
-	// src is the analyzed circuit, retained so the compile cache's
-	// snapshot writer can canonically encode it (the circ region persists
-	// as signature-keyed canonical blobs; see Source). Like every other
-	// field it is shared read-only: the analysis contract already forbids
-	// mutating an analyzed circuit.
-	src *Circuit
 }
 
 // Analyze computes the full dependency analysis of c. The result is
@@ -78,7 +71,6 @@ func AnalyzeWithSignature(c *Circuit, sig string) *Analysis {
 		crit:      make([]int32, n),
 		gq:        make([][2]int32, n),
 		inter:     make([]int32, c.NumQubits),
-		src:       c,
 	}
 
 	// Operand table + stream counting pass.
@@ -204,12 +196,6 @@ func (a *Analysis) Criticality() []int32 { return a.crit }
 func (a *Analysis) Operands(i int) (q0, q1 int) {
 	return int(a.gq[i][0]), int(a.gq[i][1])
 }
-
-// Source returns the circuit this analysis was computed from, shared
-// read-only (callers must not modify its gate list — the analysis indexes
-// it). The compile cache's snapshot writer uses it to persist the circ
-// region by canonical encoding.
-func (a *Analysis) Source() *Circuit { return a.src }
 
 // InteractionCounts returns, per qubit, the number of two-qubit gates
 // touching it — the circuit's interaction degree. The degree-matching

@@ -12,10 +12,13 @@ import "sync/atomic"
 const DefaultCacheCapacity = 8192
 
 // Stats are the per-tier hit/miss/eviction counters of one cache region.
-// Hits counts lookups served by the in-process shards (tier 1); WarmHits
-// counts lookups that missed locally but were served by the attached
-// read-only warm set (tier 3) and promoted; Misses counts lookups that ran
-// their compute function.
+// Hits counts lookups served by the in-process shards (tier 1), including
+// those served by another caller's in-flight computation; WarmHits counts
+// lookups that missed locally but were served by the attached read-only
+// warm set (tier 3) and promoted; Misses counts lookups that ran their
+// compute function (or shared a failed one, which served no value), and
+// Get calls that found nothing. The counters agree with the tiers
+// DoTiered reports, so they match what a Recorder counts.
 type Stats struct {
 	Hits, Misses, Evictions uint64
 	WarmHits                uint64
@@ -164,24 +167,28 @@ func (c *Cache) WarmSet() *WarmSet {
 // warm set), promoting it to most-recently-used — and, on a warm hit, into
 // the local shards — on a hit. Nil caches always miss without accounting.
 func (c *Cache) Get(region, key string) (any, bool) {
-	v, tier := c.getTiered(region, key)
+	if c == nil {
+		return nil, false
+	}
+	v, tier, s := c.getTiered(region, key)
+	if tier == TierMiss {
+		s.count(region, TierMiss)
+	}
 	return v, tier != TierMiss
 }
 
-// getTiered is the accounting lookup behind Get and DoTiered: local shards
-// first (tier hit), then the warm set (warm hit, promoted), else a miss.
-// Exactly one counter is incremented per call.
-func (c *Cache) getTiered(region, key string) (any, Tier) {
-	if c == nil {
-		return nil, TierMiss
-	}
+// getTiered is the lookup behind Get and DoTiered: local shards first
+// (tier hit), then the warm set (warm hit, promoted), else a miss. It
+// counts the two hit tiers and returns the key's shard, on which the
+// caller counts a miss: only the caller knows whether its compute ran.
+func (c *Cache) getTiered(region, key string) (any, Tier, *cacheShard) {
 	nk := namespaced(region, key)
 	s := c.shardFor(nk)
 	s.mu.Lock()
-	if v, ok := s.get(region, nk, false); ok {
+	if v, ok := s.get(nk); ok {
 		s.regionStats(region).Hits++
 		s.mu.Unlock()
-		return v, TierLocal
+		return v, TierLocal, s
 	}
 	s.mu.Unlock()
 	// Local miss: probe the warm set outside the shard lock — warm reads
@@ -193,30 +200,20 @@ func (c *Cache) getTiered(region, key string) (any, Tier) {
 			s.regionStats(region).WarmHits++
 			s.put(region, nk, v)
 			s.mu.Unlock()
-			return v, TierWarm
+			return v, TierWarm, s
 		}
 	}
-	s.mu.Lock()
-	s.regionStats(region).Misses++
-	s.mu.Unlock()
-	return nil, TierMiss
+	return nil, TierMiss, s
 }
 
-// peek is Get without hit/miss accounting, used by the single-flight
-// re-check (whose caller already recorded its miss).
+// peek is a local lookup without accounting, used by the single-flight
+// re-check (whose caller counts the lookup once the flight returns).
 func (c *Cache) peek(region, key string) (any, bool) {
-	return c.get(region, key, false)
-}
-
-func (c *Cache) get(region, key string, account bool) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	nk := namespaced(region, key)
 	s := c.shardFor(nk)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.get(region, nk, account)
+	return s.get(nk)
 }
 
 // Put stores value under (region, key), evicting the least-recently-used
@@ -248,14 +245,16 @@ func (c *Cache) Do(region, key string, compute func() (any, error)) (any, error)
 // DoTiered is Do with tier attribution: it additionally reports which tier
 // satisfied the lookup — TierLocal for a shard hit (or for sharing another
 // caller's in-flight computation), TierWarm for a warm-set hit, TierMiss
-// when this caller's compute ran. Request-scoped Recorders use the tier to
-// attribute warm-set traffic separately from local hits.
+// when this caller's compute ran or the flight it shared failed. The
+// cache's own counters record the same tier. Request-scoped Recorders use
+// the tier to attribute warm-set traffic separately from local hits.
 func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, Tier, error) {
 	if c == nil {
 		v, err := compute()
 		return v, TierMiss, err
 	}
-	if v, tier := c.getTiered(region, key); tier != TierMiss {
+	v, tier, s := c.getTiered(region, key)
+	if tier != TierMiss {
 		return v, tier, nil
 	}
 	computed := false
@@ -275,13 +274,15 @@ func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, 
 		c.Put(region, key, v)
 		return v, nil
 	})
+	tier = TierLocal
+	if computed || err != nil {
+		tier = TierMiss
+	}
+	s.count(region, tier)
 	if err != nil {
 		return nil, TierMiss, err
 	}
-	if computed {
-		return v, TierMiss, nil
-	}
-	return v, TierLocal, nil
+	return v, tier, nil
 }
 
 // Len returns the current number of entries across all shards.

@@ -33,11 +33,12 @@
 // errors are still never cached). A slice subgraph issued by 32 jobs at
 // once is solved once, not 32 times.
 //
-// The process-independent regions (SMT solves, static palettes, parking
-// assignments, slice solutions, routed circuits, analyzed-circuit
-// signatures — see PersistRegions) snapshot to disk via Cache.Save/Load
-// as a versioned gob stream; both CLIs expose it as -cache-file, so
-// repeated sweeps start warm. A missing, corrupt or unmigratable snapshot
+// The solver-result regions (SMT solves, static palettes, parking
+// assignments, slice solutions — see PersistRegions) snapshot to disk via
+// Cache.Save/Load as a versioned gob stream; both CLIs expose it as
+// -cache-file, so repeated sweeps start warm. Crosstalk graphs, routed
+// circuits and circuit analyses stay process-local: they rebuild about as
+// fast as they would decode. A missing, corrupt or unmigratable snapshot
 // degrades to a cold cache rather than an error (LoadSnapshot reports the
 // reason), snapshots carry KeyVersion so keys from an older key scheme
 // can never satisfy a current lookup, and a snapshot exactly one key

@@ -149,12 +149,15 @@ func TestBatchCompileMatchesSerial(t *testing.T) {
 // TestSliceSingleFlightStress checks the engine-level exactly-one-compute
 // contract: many workers missing on the same slice key at once must run
 // one solve, not one per worker (pre-v2, concurrent misses computed
-// redundantly and the last Put won). Meaningful under -race.
+// redundantly and the last Put won). The global counters must say the
+// same: one miss per round, and a hit for every worker the flight served.
+// Meaningful under -race.
 func TestSliceSingleFlightStress(t *testing.T) {
 	ctx := compile.NewContext(0)
 	const goroutines = 24
 	const rounds = 50
 	for r := 0; r < rounds; r++ {
+		before := ctx.Cache.StatsByRegion()[compile.RegionSlice]
 		key := compile.SliceKey("sig", 2, 2, []int{r, r + 1, r + 7})
 		var computes atomic.Int64
 		var ready, done sync.WaitGroup
@@ -181,6 +184,10 @@ func TestSliceSingleFlightStress(t *testing.T) {
 		done.Wait()
 		if n := computes.Load(); n != 1 {
 			t.Fatalf("round %d: %d computes for one key, want exactly 1", r, n)
+		}
+		after := ctx.Cache.StatsByRegion()[compile.RegionSlice]
+		if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != goroutines-1 {
+			t.Fatalf("round %d: global slice stats gained %d misses and %d hits, want 1 and %d", r, misses, hits, goroutines-1)
 		}
 	}
 }
@@ -239,10 +246,12 @@ func TestWarmStartCompilationIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestComponentSnapshotWarmStarts loads a v6 snapshot that still carries
-// the per-component slice section written by binaries that decomposed
-// slices: the load is clean, restores every entry the same snapshot
-// without that section restores, and a warm recompile reproduces the
+// TestComponentSnapshotWarmStarts loads a v6 snapshot in the layout older
+// binaries wrote: the per-component slice section of binaries that
+// decomposed slices, and the circuit pool, route and circ sections of
+// binaries that persisted those regions. The load is clean, restores
+// every entry the same snapshot without those sections restores, leaves
+// the route and circ regions empty, and a warm recompile reproduces the
 // schedule without solving any slice afresh.
 func TestComponentSnapshotWarmStarts(t *testing.T) {
 	sys := testSystem(16)
@@ -260,7 +269,7 @@ func TestComponentSnapshotWarmStarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := compile.AddComponentSection(t, path); n == 0 {
+	if n := compile.AddLegacySections(t, path); n == 0 {
 		t.Fatal("snapshot holds no slice entries to shadow with components")
 	}
 
@@ -271,6 +280,11 @@ func TestComponentSnapshotWarmStarts(t *testing.T) {
 	}
 	if res.Degraded != "" || res.Restored != plain.Restored {
 		t.Fatalf("LoadSnapshot = %+v, want a clean load of the %d entries the plain snapshot restores", res, plain.Restored)
+	}
+	for _, region := range []string{compile.RegionRoute, compile.RegionCircuit} {
+		if n := compile.RegionLen(warm.Cache, region); n != 0 {
+			t.Fatalf("%s region holds %d entries after the load, want none", region, n)
+		}
 	}
 	got, err := schedule.ColorDynamic{}.Compile(warm, circ, sys, schedule.Options{})
 	if err != nil {

@@ -35,19 +35,14 @@ const (
 	// RegionCircuit holds analyzed-circuit IRs (circuit.Analysis: CSR
 	// per-qubit gate streams, flat ASAP layers, criticality) keyed by the
 	// circuit content signature, so every strategy in a batch shares one
-	// analysis per circuit. Snapshots persist only the cheap part — the
-	// canonically encoded circuit, deduplicated through the
-	// content-addressed pool — and Load re-derives the flat tables with
-	// AnalyzeWithSignature (microseconds), so the pointer-heavy IR itself
-	// never bloats a snapshot.
+	// analysis per circuit. Process-local: an analysis rebuilds in
+	// microseconds, which is what loading one from a snapshot would cost.
 	RegionCircuit = "circ"
 	// RegionRoute holds routed circuits (mapping.Result) keyed by
 	// (circuit signature, device signature, placement, router config), so
 	// the 5–7 strategies of a batch route each circuit once instead of
-	// once per strategy. Persisted since snapshot v6: the routed circuit
-	// is stored as a signature reference into the content-addressed
-	// canonical-circuit pool (identical routed circuits cost one blob),
-	// with the mapping and provenance flattened beside it.
+	// once per strategy. Process-local: routing the Fig 9 set again is
+	// faster than serving it from a snapshot.
 	RegionRoute = "route"
 )
 
@@ -70,14 +65,13 @@ const (
 // per-component solutions under SliceComponentKey (a distinct "c"-tagged
 // shape that can never alias a whole-slice key), so snapshots written
 // before the decomposition are rejected wholesale. v6 accompanies the
-// tiered warm-cache subsystem: route and circ entries persist through the
-// content-addressed circuit store, and snapshots from the previous key
-// generation are no longer rejected wholesale — Load re-keys them through
-// the registered migration step (see migrate.go) instead. Component keys
-// are no longer written since the slice solver went back to solving each
-// missed slice whole; whole-slice keys did not change, so the version
-// stays 6, and component entries in older v6 snapshots are ignored on
-// load.
+// tiered warm-cache subsystem: snapshots from the previous key generation
+// are no longer rejected wholesale — Load re-keys them through the
+// registered migration step (see migrate.go) instead. Component keys are
+// no longer written since the slice solver went back to solving each
+// missed slice whole, and route and circ entries are no longer persisted;
+// no key changed, so the version stays 6, and those entries in older v6
+// snapshots are ignored on load.
 const KeyVersion = 6
 
 type hasher struct{ h uint64 }
@@ -227,9 +221,7 @@ func SliceKey(sysSig string, distance, budget int, activeVertices []int) string 
 // the exact qubit and gate counts plus the 128-bit content signature. The
 // cheap dimensions are encoded exactly — the same discipline as SliceKey
 // and RouteKey — so a hypothetical digest collision between
-// differently-shaped circuits can never alias. The memo and the snapshot
-// loader both build circ keys through this function, so a persisted
-// canonical circuit restores under exactly the key the memo will probe.
+// differently-shaped circuits can never alias.
 func CircuitKey(circ *circuit.Circuit, sig string) string {
 	return fmt.Sprintf("%d|%d|%s", circ.NumQubits, len(circ.Gates), sig)
 }

@@ -92,11 +92,11 @@ func (c *Context) Analysis(circ *circuit.Circuit) *circuit.Analysis {
 // shared read-only by every strategy compiling that circuit — a 5-strategy
 // batch routes each (circuit, placement, router) exactly once instead of
 // five times. Routing is deterministic, so sharing cannot change output.
-// The route region persists across processes (snapshot v6 flattens each
-// Result against the content-addressed circuit pool; see persist.go) and
-// is size-aware through mapping.Result.ApproxSize. Routers that read the
-// dependency analysis (lookahead, degree placement) draw it from the circ
-// region, so route and schedule share one Analysis per circuit signature.
+// The route region is process-local (recomputing a route is cheaper than
+// decoding one from a snapshot) and size-aware through
+// mapping.Result.ApproxSize. Routers that read the dependency analysis
+// (lookahead, degree placement) draw it from the circ region, so route and
+// schedule share one Analysis per circuit signature.
 func (c *Context) Route(circ *circuit.Circuit, dev *topology.Device, opts mapping.Options) (*mapping.Result, error) {
 	opts = opts.WithDefaults()
 	cache := c.cache()

@@ -38,10 +38,8 @@ var snapshotMigrations = map[int]snapshotMigration{
 // "v6|…" for whole-slice entries and passes the unversioned regions (SMT,
 // park, static) through untouched. A v5 snapshot's per-component entries
 // are not carried forward: the slice solver no longer reads them, and gob
-// skips their section because diskSnapshot has no field for it. The
-// v6-only sections (circuit pool, route, circ) start empty: a v5 snapshot
-// never carried them, so those regions warm up cold. Keys that do not
-// carry the exact "v5|" prefix are dropped rather than guessed at.
+// skips their section because diskSnapshot has no field for it. Keys that
+// do not carry the exact "v5|" prefix are dropped rather than guessed at.
 func migrateSnapshotV5toV6(snap *diskSnapshot) int {
 	if snap.KeyVersion != 5 {
 		// Not the key generation this step knows how to re-key: advance

@@ -11,9 +11,7 @@ import (
 	"sort"
 	"strings"
 
-	"fastsc/internal/circuit"
 	"fastsc/internal/faultpoint"
-	"fastsc/internal/mapping"
 	"fastsc/internal/smt"
 )
 
@@ -34,38 +32,29 @@ import (
 // slice region now holds two value shapes — whole-slice SliceSolution
 // and per-component ComponentSolution — persisted in separate snapshot
 // sections so each decodes with its concrete type. v6 accompanies the
-// tiered warm-cache subsystem (KeyVersion 6): the snapshot gains a
-// content-addressed pool of canonically encoded circuits plus route and
-// circ sections referencing it, and v5 snapshots are the first to migrate
-// forward (slice keys re-keyed v5|→v6|) instead of being dropped. Since
-// the slice solver stopped decomposing slices, v6 snapshots no longer
-// carry per-component entries; gob skips the component section of a
-// snapshot written before that, so such a file still loads, minus those
-// entries, with no version bump.
+// tiered warm-cache subsystem (KeyVersion 6), and v5 snapshots are the
+// first to migrate forward (slice keys re-keyed v5|→v6|) instead of being
+// dropped. Two sections have since stopped being written, each with no
+// version bump because gob skips a field the reader lacks: the
+// per-component slice section (the slice solver no longer decomposes
+// slices), and the circuit pool with its route and circ sections (routing
+// and analysis recompute faster than they decode). A v6 snapshot written
+// before either change still loads, minus those entries.
 const SnapshotVersion = 6
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or a
 // truncated file) to Load.
 const snapshotMagic = "fastsc-cache-snapshot"
 
-// PersistRegions are the cache regions included in snapshots: everything
-// process-independent. SMT solves, static palettes, parking assignments
-// and slice solutions are pure functions of content-hashed inputs (system
+// PersistRegions are the cache regions included in snapshots: the solver
+// results. SMT solves, static palettes, parking assignments and slice
+// solutions are pure functions of content-hashed inputs (system
 // signatures, exact vertex sets), so an entry written by one process is
-// valid in every other. Since v6, routed circuits and analyzed circuits
-// persist too: both flatten through the content-addressed pool of
-// canonically encoded circuits (route entries store the mapping plus a
-// signature reference; circ entries store only the signature and re-derive
-// the flat analysis tables on load). RegionXtalk remains excluded:
-// crosstalk graphs rebuild in milliseconds from the device alone and
-// would dominate the snapshot size.
-var PersistRegions = []string{RegionSMT, RegionStatic, RegionParking, RegionSlice, RegionRoute, RegionCircuit}
-
-// maxCanonicalCircuitBytes bounds the canonical blobs admitted into a
-// snapshot's circuit pool: a route or circ entry whose circuit encodes
-// larger is skipped (size-aware sections — one pathological million-gate
-// circuit must not balloon every fleet warm set that includes it).
-const maxCanonicalCircuitBytes = 1 << 20
+// valid in every other. RegionXtalk, RegionRoute and RegionCircuit stay
+// process-local: crosstalk graphs rebuild from the device alone, and
+// routing or analyzing a circuit again is faster than decoding it from a
+// snapshot.
+var PersistRegions = []string{RegionSMT, RegionStatic, RegionParking, RegionSlice}
 
 // gzipSuffix marks snapshot paths Save writes gzip-compressed. Load does
 // not consult the name: it sniffs the gzip magic bytes, so compressed and
@@ -82,12 +71,9 @@ func RegisterSnapshotType(v any) { gob.Register(v) }
 // diskSnapshot is the gob payload of a cache snapshot. The typed regions
 // decode in one pass; Static carries individually encoded blobs because
 // its values are opaque to this package and one unregistered type must
-// cost one entry, not the snapshot. Circuits is the content-addressed
-// pool: canonical circuit bytes keyed by the 128-bit content signature,
-// referenced by the Route and Circ sections so identical circuits cost
-// one blob no matter how many entries share them. The field set is pinned
-// by the keyfields analyzer (this struct is an on-disk codec: adding a
-// field without considering migration is a format change).
+// cost one entry, not the snapshot. The field set is pinned by the
+// keyfields analyzer (this struct is an on-disk codec: adding a field
+// without considering migration is a format change).
 type diskSnapshot struct {
 	Magic      string
 	Version    int
@@ -96,17 +82,6 @@ type diskSnapshot struct {
 	Park       map[string][]float64
 	Slice      map[string]SliceSolution
 	Static     []diskEntry
-	// Circuits is the content-addressed canonical-circuit pool
-	// (signature → circuit.EncodeCanonical bytes), populated since v6.
-	Circuits map[string][]byte
-	// Route carries the route region: flattened mapping.Results whose
-	// routed circuit lives in the pool.
-	Route map[string]persistedRoute
-	// Circ lists the content signatures of the circ region's analyzed
-	// circuits, sorted (the analysis itself is re-derived on load). Sorted
-	// emission keeps snapshot bytes deterministic for identical contents —
-	// the same discipline as the Static section.
-	Circ []string
 }
 
 // diskEntry is one opaque static-region entry; Blob is the value
@@ -114,20 +89,6 @@ type diskSnapshot struct {
 type diskEntry struct {
 	Key  string
 	Blob []byte
-}
-
-// persistedRoute is the gob form of one route-region mapping.Result: the
-// routed circuit is replaced by its content signature into the snapshot's
-// canonical pool, and the final mapping and SWAP provenance are flattened
-// to plain slices. The field set is pinned by the keyfields analyzer
-// alongside mapping.Result and mapping.Mapping, whose fields it must
-// mirror.
-type persistedRoute struct {
-	RoutedSig string
-	LogToPhys []int
-	PhysToLog []int
-	Inserted  []bool
-	SwapCount int
 }
 
 // persistedSMT is the gob form of an smtResult: the error is flattened to
@@ -170,31 +131,13 @@ func fromPersistedSMT(p persistedSMT) smtResult {
 	return r
 }
 
-// poolCircuit admits one circuit into the content-addressed pool, keyed by
-// sig (which must be the circuit's content signature). It reports whether
-// the circuit is in the pool after the call — false only when the
-// canonical encoding exceeds the size bound, in which case the caller must
-// drop the referencing entry.
-func poolCircuit(pool map[string][]byte, sig string, c *circuit.Circuit) bool {
-	if _, ok := pool[sig]; ok {
-		return true
-	}
-	blob := c.EncodeCanonical()
-	if len(blob) > maxCanonicalCircuitBytes {
-		return false
-	}
-	pool[sig] = blob
-	return true
-}
-
-// Save writes a versioned snapshot of the process-independent cache
-// regions (PersistRegions) to path, atomically (temp file + rename). A
+// Save writes a versioned snapshot of the solver-result cache regions
+// (PersistRegions) to path, atomically (temp file + rename). A
 // path ending in ".gz" is written gzip-compressed (gob streams of
 // repetitive float tables compress several-fold); Load auto-detects the
 // compression regardless of name. Static-region entries whose values
 // cannot be gob-encoded — an unregistered provider type — are skipped
-// silently, as are route/circ entries whose circuit exceeds the canonical
-// size bound: a snapshot is a best-effort warm start, never a source of
+// silently: a snapshot is a best-effort warm start, never a source of
 // truth. Save on a nil cache is a no-op.
 func (c *Cache) Save(path string) error {
 	if c == nil {
@@ -207,8 +150,6 @@ func (c *Cache) Save(path string) error {
 		SMT:        make(map[string]persistedSMT),
 		Park:       make(map[string][]float64),
 		Slice:      make(map[string]SliceSolution),
-		Circuits:   make(map[string][]byte),
-		Route:      make(map[string]persistedRoute),
 	}
 	for k, v := range c.regionEntries(RegionSMT) {
 		snap.SMT[k] = toPersistedSMT(v.(smtResult))
@@ -221,38 +162,10 @@ func (c *Cache) Save(path string) error {
 			snap.Slice[k] = sol
 		}
 	}
-	for k, v := range c.regionEntries(RegionRoute) {
-		r, ok := v.(*mapping.Result)
-		if !ok || r == nil || r.Routed == nil || r.Final == nil {
-			continue
-		}
-		sig := r.Routed.Signature()
-		if !poolCircuit(snap.Circuits, sig, r.Routed) {
-			continue
-		}
-		snap.Route[k] = persistedRoute{
-			RoutedSig: sig,
-			LogToPhys: r.Final.LogToPhys,
-			PhysToLog: r.Final.PhysToLog,
-			Inserted:  r.Inserted,
-			SwapCount: r.SwapCount,
-		}
-	}
-	for _, v := range c.regionEntries(RegionCircuit) {
-		a, ok := v.(*circuit.Analysis)
-		if !ok || a.Source() == nil {
-			continue
-		}
-		if poolCircuit(snap.Circuits, a.Sig, a.Source()) {
-			snap.Circ = append(snap.Circ, a.Sig)
-		}
-	}
-	// Sort the circ signatures: the section is a slice built from a map
-	// range, and emitting it unsorted would make the snapshot bytes differ
-	// from run to run for identical cache contents (the fig13
-	// nondeterminism class, caught by the maporder analyzer).
-	sort.Strings(snap.Circ)
-	// Emit static entries in sorted key order, for the same reason.
+	// Emit static entries in sorted key order: the section is a slice
+	// built from a map range, and emitting it unsorted would make the
+	// snapshot bytes differ from run to run for identical cache contents
+	// (the fig13 nondeterminism class, caught by the maporder analyzer).
 	static := c.regionEntries(RegionStatic)
 	staticKeys := make([]string, 0, len(static))
 	for k := range static {
@@ -378,27 +291,9 @@ func decodeSnapshot(data []byte) (*diskSnapshot, LoadResult) {
 	return &snap, res
 }
 
-// decodeCircuitPool materializes and re-validates the content-addressed
-// pool: every blob must decode and re-sign to exactly the signature it is
-// stored under, so a corrupted or tampered blob can never surface as a
-// plausible wrong circuit. Invalid blobs are dropped (with their
-// referencing entries), never fatal.
-func (snap *diskSnapshot) decodeCircuitPool() map[string]*circuit.Circuit {
-	pool := make(map[string]*circuit.Circuit, len(snap.Circuits))
-	for sig, blob := range snap.Circuits {
-		c, err := circuit.DecodeCanonical(blob)
-		if err != nil || c.Signature() != sig {
-			continue
-		}
-		pool[sig] = c
-	}
-	return pool
-}
-
-// restore walks every entry of a decoded snapshot, materializing values
-// (static blobs decoded, route results rebuilt from the pool, circ
-// analyses re-derived) and handing them to put. It returns the number of
-// entries restored; undecodable or inconsistent entries are skipped.
+// restore walks every entry of a decoded snapshot, decoding the static
+// blobs, and hands each to put. It returns the number of entries
+// restored; undecodable entries are skipped.
 func (snap *diskSnapshot) restore(put func(region, key string, value any)) int {
 	restored := 0
 	for k, p := range snap.SMT {
@@ -419,32 +314,6 @@ func (snap *diskSnapshot) restore(put func(region, key string, value any)) int {
 			continue
 		}
 		put(RegionStatic, ent.Key, v)
-		restored++
-	}
-	pool := snap.decodeCircuitPool()
-	for k, pr := range snap.Route {
-		routed, ok := pool[pr.RoutedSig]
-		if !ok {
-			continue
-		}
-		r := &mapping.Result{
-			Routed:    routed,
-			Final:     &mapping.Mapping{LogToPhys: pr.LogToPhys, PhysToLog: pr.PhysToLog},
-			Inserted:  pr.Inserted,
-			SwapCount: pr.SwapCount,
-		}
-		if r.Validate() != nil {
-			continue
-		}
-		put(RegionRoute, k, r)
-		restored++
-	}
-	for _, sig := range snap.Circ {
-		c, ok := pool[sig]
-		if !ok {
-			continue
-		}
-		put(RegionCircuit, CircuitKey(c, sig), circuit.AnalyzeWithSignature(c, sig))
 		restored++
 	}
 	return restored

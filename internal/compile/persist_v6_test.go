@@ -9,140 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"fastsc/internal/circuit"
 	"fastsc/internal/graph"
-	"fastsc/internal/mapping"
-	"fastsc/internal/topology"
 )
-
-// TestSnapshotRouteCircRoundTrip pins the v6 tentpole: route and circ
-// entries persist through the content-addressed circuit pool and restore
-// as working cache entries — a warm process must route and analyze these
-// circuits purely from cache.
-func TestSnapshotRouteCircRoundTrip(t *testing.T) {
-	build := func() *circuit.Circuit {
-		c := circuit.New(9)
-		c.H(0).CNOT(0, 8).CZ(3, 5).RZ(4, 0.75)
-		return c
-	}
-	dev := topology.SquareGrid(9)
-	ctx := NewContext(1)
-	want, err := ctx.Route(build(), dev, mapping.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ana := ctx.Analysis(build())
-
-	path := snapshotPath(t)
-	if err := ctx.Cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache(0)
-	res, err := warm.LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded != "" || res.Restored == 0 {
-		t.Fatalf("LoadSnapshot = %+v, want clean restore", res)
-	}
-
-	// The restored route entry must be a hit for the same request…
-	warmCtx := &Context{Cache: warm}
-	got, err := warmCtx.Route(build(), dev, mapping.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := warm.StatsByRegion()[RegionRoute]; st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("route region after restore: %+v, want a pure hit", st)
-	}
-	// …and byte-identical to the original routed result.
-	if got.SwapCount != want.SwapCount ||
-		got.Routed.Signature() != want.Routed.Signature() ||
-		!reflect.DeepEqual(got.Inserted, want.Inserted) ||
-		!reflect.DeepEqual(got.Final.LogToPhys, want.Final.LogToPhys) ||
-		!reflect.DeepEqual(got.Final.PhysToLog, want.Final.PhysToLog) {
-		t.Fatalf("restored route result differs:\ngot  %+v\nwant %+v", got, want)
-	}
-
-	// The circ entry restores as a re-derived analysis under the same key.
-	gotAna := warmCtx.Analysis(build())
-	if st := warm.StatsByRegion()[RegionCircuit]; st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("circ region after restore: %+v, want a pure hit", st)
-	}
-	if gotAna.Sig != ana.Sig || gotAna.Depth() != ana.Depth() || gotAna.NumGates != ana.NumGates {
-		t.Fatalf("restored analysis differs: got sig=%s depth=%d, want sig=%s depth=%d",
-			gotAna.Sig, gotAna.Depth(), ana.Sig, ana.Depth())
-	}
-}
-
-// TestSnapshotCircuitPoolDedupes: many route entries over one routed
-// circuit must share a single canonical blob in the pool.
-func TestSnapshotCircuitPoolDedupes(t *testing.T) {
-	build := func() *circuit.Circuit {
-		c := circuit.New(4)
-		c.CZ(0, 1).CZ(2, 3)
-		return c
-	}
-	dev := topology.SquareGrid(4)
-	ctx := NewContext(1)
-	// Same circuit, two option sets that route identically (no SWAPs
-	// needed): two route keys, one routed-circuit content.
-	if _, err := ctx.Route(build(), dev, mapping.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.Route(build(), dev, mapping.Options{Router: mapping.RouterConfig{Algorithm: mapping.RouterLookahead}}); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshotPath(t)
-	if err := ctx.Cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap diskSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Route) != 2 {
-		t.Fatalf("want 2 route entries, got %d", len(snap.Route))
-	}
-	if len(snap.Circuits) != 1 {
-		t.Fatalf("want 1 pooled circuit for 2 identical routed results, got %d", len(snap.Circuits))
-	}
-}
-
-// TestSnapshotOversizeCircuitSkipped: a circuit whose canonical encoding
-// exceeds the pool bound is dropped from the snapshot (entry and blob),
-// not written.
-func TestSnapshotOversizeCircuitSkipped(t *testing.T) {
-	big := circuit.New(2)
-	for i := 0; i < maxCanonicalCircuitBytes/10; i++ {
-		big.H(i % 2)
-	}
-	if len(big.EncodeCanonical()) <= maxCanonicalCircuitBytes {
-		t.Fatal("test circuit not big enough to exceed the pool bound")
-	}
-	pool := make(map[string][]byte)
-	if poolCircuit(pool, big.Signature(), big) {
-		t.Fatal("oversize circuit admitted into the pool")
-	}
-	if len(pool) != 0 {
-		t.Fatal("pool grew despite rejection")
-	}
-
-	c := NewCache(0)
-	c.Put(RegionCircuit, CircuitKey(big, big.Signature()), circuit.Analyze(big))
-	path := snapshotPath(t)
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache(0)
-	if n, err := warm.Load(path); err != nil || n != 0 {
-		t.Fatalf("oversize circ entry should be skipped: n=%d err=%v", n, err)
-	}
-}
 
 // componentSolution mirrors the per-component slice value that binaries
 // from before the whole-slice solver persisted; gob matches fields by
@@ -154,11 +22,25 @@ type componentSolution struct {
 	Counts    []int
 }
 
-// componentSnapshot is the snapshot layout written while the slice solver
-// still split each slice into connected components: diskSnapshot plus a
-// SliceComp section of per-component entries, keyed "v<N>|c|" + the rest
-// of a slice key.
-type componentSnapshot struct {
+// legacyRoute mirrors the route entry that v6 binaries persisted before
+// routing became process-local: the routed circuit as a signature into
+// the snapshot's circuit pool, and the final mapping and SWAP provenance
+// flattened to plain slices.
+type legacyRoute struct {
+	RoutedSig string
+	LogToPhys []int
+	PhysToLog []int
+	Inserted  []bool
+	SwapCount int
+}
+
+// legacySnapshot is every section a v6 binary has written: diskSnapshot
+// plus the per-component slice section (written while the slice solver
+// split each slice into connected components, keyed "v<N>|c|" + the rest
+// of a slice key) and the circuit pool with the route and circ sections
+// that referenced it (written while those regions persisted). gob matches
+// fields by name, so encoding it reproduces an older binary's file.
+type legacySnapshot struct {
 	Magic      string
 	Version    int
 	KeyVersion int
@@ -168,7 +50,7 @@ type componentSnapshot struct {
 	SliceComp  map[string]componentSolution
 	Static     []diskEntry
 	Circuits   map[string][]byte
-	Route      map[string]persistedRoute
+	Route      map[string]legacyRoute
 	Circ       []string
 }
 
@@ -183,18 +65,20 @@ func writeGob(tb testing.TB, path string, v any) {
 	}
 }
 
-// AddComponentSection rewrites the plain snapshot at path in the
-// component-carrying layout, with one component entry per whole-slice
-// entry (the entry a single-component slice produced), and returns how
-// many it added. It lives in this internal test file so that the external
-// warm-start tests can build such a snapshot from a real compile.
-func AddComponentSection(tb testing.TB, path string) int {
+// AddLegacySections rewrites the plain snapshot at path in the layout
+// older v6 binaries wrote, and returns how many component entries it
+// added: one per whole-slice entry (the entry a single-component slice
+// produced). The circuit pool, route and circ sections gain one entry
+// each, with arbitrary contents: nothing reads those sections any more.
+// It lives in this internal test file so that the external warm-start
+// tests can build such a snapshot from a real compile.
+func AddLegacySections(tb testing.TB, path string) int {
 	tb.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var snap componentSnapshot
+	var snap legacySnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 		tb.Fatal(err)
 	}
@@ -208,14 +92,27 @@ func AddComponentSection(tb testing.TB, path string) int {
 			Counts:    sol.Coloring.ColorCounts(),
 		}
 	}
+	const sig = "00112233445566778899aabbccddeeff"
+	snap.Circuits = map[string][]byte{sig: []byte("any bytes")}
+	snap.Route = map[string]legacyRoute{
+		prefix + "2|1|" + sig + "|devsig|identity|greedy|0|0": {
+			RoutedSig: sig, LogToPhys: []int{0, 1}, PhysToLog: []int{0, 1}, Inserted: []bool{false},
+		},
+	}
+	snap.Circ = []string{sig}
 	writeGob(tb, path, snap)
 	return len(snap.SliceComp)
 }
 
+// RegionLen returns the number of entries c holds in region, for the
+// external tests that check which regions a snapshot load filled.
+func RegionLen(c *Cache, region string) int { return len(c.regionEntries(region)) }
+
 // TestSnapshotRoundTripComponentSolutions round-trips a whole-slice entry
-// through a snapshot that also carries the per-component section older
-// v6 binaries wrote. The load is clean, the whole-slice entry comes back
-// unchanged, and the component entries are dropped: nothing reads them.
+// through a snapshot that also carries the per-component, circuit pool,
+// route and circ sections older v6 binaries wrote. The load is clean,
+// the whole-slice entry comes back unchanged, and the legacy entries are
+// dropped: nothing reads them.
 func TestSnapshotRoundTripComponentSolutions(t *testing.T) {
 	c := NewCache(0)
 	whole := SliceSolution{
@@ -231,7 +128,7 @@ func TestSnapshotRoundTripComponentSolutions(t *testing.T) {
 	if err := c.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if n := AddComponentSection(t, path); n != 1 {
+	if n := AddLegacySections(t, path); n != 1 {
 		t.Fatalf("added %d component entries, want 1", n)
 	}
 	fresh := NewCache(0)
@@ -253,7 +150,7 @@ func TestSnapshotRoundTripComponentSolutions(t *testing.T) {
 func makeV5Snapshot(t *testing.T, path string) (sliceKeyV6 string) {
 	t.Helper()
 	sliceKeyV6 = SliceKey("a1b2c3d4e5f60718", 2, 3, []int{1, 4, 9})
-	writeGob(t, path, componentSnapshot{
+	writeGob(t, path, legacySnapshot{
 		Magic:      snapshotMagic,
 		Version:    5,
 		KeyVersion: 5,
@@ -373,54 +270,4 @@ func TestLoadResultDegradationReasons(t *testing.T) {
 			t.Fatalf("bad magic: res=%+v err=%v, want Degraded=%q", res, err, DegradedBadMagic)
 		}
 	})
-}
-
-// TestSnapshotTamperedPoolBlobDropped: a flipped bit in a pooled canonical
-// blob must drop the blob and every entry referencing it — the re-sign
-// check is what keeps the content-addressed store trustworthy.
-func TestSnapshotTamperedPoolBlobDropped(t *testing.T) {
-	build := func() *circuit.Circuit {
-		c := circuit.New(4)
-		c.CZ(0, 1).H(2).CZ(2, 3)
-		return c
-	}
-	ctx := NewContext(1)
-	if _, err := ctx.Route(build(), topology.SquareGrid(4), mapping.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshotPath(t)
-	if err := ctx.Cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap diskSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Circuits) == 0 || len(snap.Route) == 0 {
-		t.Fatalf("expected pooled route content, got %d circuits / %d routes", len(snap.Circuits), len(snap.Route))
-	}
-	for sig, blob := range snap.Circuits {
-		blob[len(blob)-1] ^= 0x40 // flip a theta bit: still decodes, wrong signature
-		snap.Circuits[sig] = blob
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache(0)
-	res, err := warm.LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := warm.Get(RegionRoute, RouteKey(build(), DeviceSignature(topology.SquareGrid(4)), mapping.Options{})); ok {
-		t.Fatal("route entry referencing a tampered blob was served")
-	}
-	_ = res
 }

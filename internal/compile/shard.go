@@ -62,22 +62,28 @@ func (s *cacheShard) regionStats(region string) *Stats {
 	return st
 }
 
-// get looks up nk, promoting it on a hit. When account is false the
-// counters are left untouched (used by the single-flight re-check, whose
-// caller already recorded its miss).
-func (s *cacheShard) get(region, nk string, account bool) (any, bool) {
+// get looks up nk, promoting it on a hit. It leaves the counters alone:
+// the Cache counts each lookup once it knows which tier served it.
+func (s *cacheShard) get(nk string) (any, bool) {
 	el, ok := s.items[nk]
 	if !ok {
-		if account {
-			s.regionStats(region).Misses++
-		}
 		return nil, false
-	}
-	if account {
-		s.regionStats(region).Hits++
 	}
 	s.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).value, true
+}
+
+// count locks the shard and adds one lookup served by tier to region's
+// counters: a local hit or a miss (warm hits are counted where they are
+// promoted).
+func (s *cacheShard) count(region string, tier Tier) {
+	s.mu.Lock()
+	if tier == TierMiss {
+		s.regionStats(region).Misses++
+	} else {
+		s.regionStats(region).Hits++
+	}
+	s.mu.Unlock()
 }
 
 func (s *cacheShard) put(region, nk string, value any) {

@@ -8,13 +8,10 @@ import (
 	"sync"
 	"testing"
 
-	"fastsc/internal/circuit"
 	"fastsc/internal/graph"
-	"fastsc/internal/mapping"
-	"fastsc/internal/topology"
 )
 
-// warmSnapshot saves a small multi-region cache (park, slice, smt, route)
+// warmSnapshot saves a small multi-region cache (park, slice, smt)
 // to a fresh path and returns the path plus the keys it holds.
 func warmSnapshot(t *testing.T) (path, parkKey, sliceKey string) {
 	t.Helper()
@@ -244,40 +241,5 @@ func TestWarmSetDetach(t *testing.T) {
 	}
 	if _, ok := c.Get(RegionParking, parkKey); ok {
 		t.Fatal("detached warm set still served")
-	}
-}
-
-// TestWarmSetRouteEntries: a warm set carries route-region results through
-// the content-addressed pool, so a fresh process routes entirely from the
-// shared tier.
-func TestWarmSetRouteEntries(t *testing.T) {
-	build := func() *circuit.Circuit {
-		c := circuit.New(9)
-		c.H(0).CNOT(0, 8).CZ(3, 5)
-		return c
-	}
-	dev := topology.SquareGrid(9)
-	src := NewContext(1)
-	want, err := src.Route(build(), dev, mapping.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := snapshotPath(t)
-	if err := src.Cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewCache(0)
-	c.AttachWarmSet(OpenWarmSet(path))
-	ctx := &Context{Cache: c, Record: NewRecorder()}
-	got, err := ctx.Route(build(), dev, mapping.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SwapCount != want.SwapCount || got.Routed.Signature() != want.Routed.Signature() {
-		t.Fatal("warm-served route differs from the original")
-	}
-	if st := ctx.Record.StatsByRegion()[RegionRoute]; st.WarmHits != 1 || st.Misses != 0 {
-		t.Fatalf("route lookup not served by the warm tier: %+v", st)
 	}
 }

@@ -66,29 +66,13 @@ var DefaultKeySchema = map[string]KeySchema{
 		KeyFunc: "compile.RouteKey",
 		Fields:  []string{"Algorithm", "Window", "Decay"},
 	},
-	// The snapshot codec structs are pinned for a different failure mode
-	// than the key structs above: they are on-disk gob shapes, so a field
-	// added to the in-memory type without a matching codec field (plus a
-	// SnapshotVersion bump and a migration entry) would silently drop data
-	// on the round trip rather than alias a key.
+	// The snapshot codec struct is pinned for a different failure mode
+	// than the key structs above: it is an on-disk gob shape, so a field
+	// added to it without considering migration (a SnapshotVersion bump
+	// and a migration entry) would silently change the format rather than
+	// alias a key.
 	"fastsc/internal/compile.diskSnapshot": {
 		KeyFunc: "the snapshot codec (compile.Save/Load)",
-		Fields: []string{"Magic", "Version", "KeyVersion", "SMT", "Park",
-			"Slice", "Static", "Circuits", "Route", "Circ"},
-	},
-	"fastsc/internal/compile.persistedRoute": {
-		KeyFunc: "the snapshot codec (compile.Save/Load)",
-		Fields:  []string{"RoutedSig", "LogToPhys", "PhysToLog", "Inserted", "SwapCount"},
-	},
-	// persistedRoute flattens mapping.Result (and its Mapping) field for
-	// field, so those layouts are pinned too: a field added to Result
-	// without a persistedRoute twin would vanish across a Save/Load.
-	"fastsc/internal/mapping.Result": {
-		KeyFunc: "the snapshot codec (compile.persistedRoute)",
-		Fields:  []string{"Routed", "Final", "Inserted", "SwapCount"},
-	},
-	"fastsc/internal/mapping.Mapping": {
-		KeyFunc: "the snapshot codec (compile.persistedRoute)",
-		Fields:  []string{"LogToPhys", "PhysToLog"},
+		Fields:  []string{"Magic", "Version", "KeyVersion", "SMT", "Park", "Slice", "Static"},
 	},
 }

@@ -30,8 +30,8 @@ type Reordered struct {
 }
 
 // Unexported structs resolve through the same scope lookup as exported
-// ones — the production table pins the snapshot codec shapes
-// (compile.diskSnapshot, compile.persistedRoute), which are unexported.
+// ones — the production table pins the snapshot codec shape
+// (compile.diskSnapshot), which is unexported.
 type pinnedCodec struct {
 	Blob []byte
 	Ver  int

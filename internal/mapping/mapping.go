@@ -184,47 +184,6 @@ func (r *Result) ApproxSize() int {
 	return size
 }
 
-// Validate checks the structural invariants a well-formed Result upholds:
-// a routed circuit and final mapping present, per-gate provenance matching
-// the gate count, a SWAP count consistent with the provenance flags, and a
-// final mapping that is a genuine partial bijection into the physical
-// qubit range. Routers establish these by construction; the compile
-// cache's snapshot loader re-validates restored results with it so a
-// corrupt or hand-edited snapshot entry is dropped instead of served.
-func (r *Result) Validate() error {
-	if r == nil || r.Routed == nil || r.Final == nil {
-		return fmt.Errorf("mapping: incomplete result")
-	}
-	if len(r.Inserted) != len(r.Routed.Gates) {
-		return fmt.Errorf("mapping: %d provenance flags for %d gates", len(r.Inserted), len(r.Routed.Gates))
-	}
-	swaps := 0
-	for _, ins := range r.Inserted {
-		if ins {
-			swaps++
-		}
-	}
-	if swaps != r.SwapCount {
-		return fmt.Errorf("mapping: SwapCount %d, but %d gates flagged inserted", r.SwapCount, swaps)
-	}
-	nPhys := len(r.Final.PhysToLog)
-	if len(r.Final.LogToPhys) > nPhys || nPhys < r.Routed.NumQubits {
-		return fmt.Errorf("mapping: final mapping covers %d logical on %d physical qubits (routed circuit has %d)",
-			len(r.Final.LogToPhys), nPhys, r.Routed.NumQubits)
-	}
-	seen := make([]bool, nPhys)
-	for l, p := range r.Final.LogToPhys {
-		if p < 0 || p >= nPhys || seen[p] {
-			return fmt.Errorf("mapping: logical %d mapped to invalid or duplicate physical %d", l, p)
-		}
-		seen[p] = true
-		if r.Final.PhysToLog[p] != l {
-			return fmt.Errorf("mapping: PhysToLog[%d] = %d, want %d", p, r.Final.PhysToLog[p], l)
-		}
-	}
-	return nil
-}
-
 // Route translates c onto dev starting from the given initial mapping
 // (Identity when nil), inserting SWAPs along greedy shortest coupling
 // paths. It is the historical entry point, equivalent to

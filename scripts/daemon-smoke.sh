@@ -222,8 +222,9 @@ lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
 done = [l for l in lines if l["type"] == "done"][0]
 assert done["failed"] == 0, done
 rate = done["cache"]["hit_rate"]
-# Since v6 route and circ persist too, so after a restart only xtalk
-# rebuilds: the floor sits just under the same-process 0.90.
+# The snapshot carries the solver results; after a restart only the
+# process-local xtalk, route and circ regions rebuild, so the floor sits
+# below the same-process 0.90.
 assert rate > 0.8, f"post-restart hit rate {rate} is not > 0.8"
 print(f"post-restart: hit rate {rate:.3f}")
 PYEOF
