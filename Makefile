@@ -17,15 +17,21 @@ BENCH_JSON ?= BENCH_10.json
 BENCH_GUARD_PATTERN = BenchmarkBatchCompile|BenchmarkLargeCircuitCompile|BenchmarkSMTSolve|BenchmarkXtalkBuild|BenchmarkCircuitAnalysis|BenchmarkFrontier|BenchmarkRoute|BenchmarkWarmSetLoad|BenchmarkEvaluate
 BENCH_GUARD_PKGS = ./internal/bench/ ./internal/smt/ ./internal/xtalk/ ./internal/circuit/ ./internal/compile/ ./internal/noise/
 
-.PHONY: all build test lint lint-smoke fastscvet bench bench-json bench-regress warm-cache-check daemon daemon-smoke chaos-smoke
+.PHONY: all build test fastscbench-test lint lint-smoke fastscvet bench bench-json bench-regress warm-cache-check daemon daemon-smoke chaos-smoke
 
 all: lint build test
 
 build:
 	$(GO) build ./...
 
-test:
+test: fastscbench-test
 	$(GO) test -race ./...
+
+# fastscbench-test vets and tests cmd/fastscbench, a module of its own that
+# the root ./... patterns never reach, although it imports the compile/core
+# API directly. In lockstep with ci.yml's test job.
+fastscbench-test:
+	cd cmd/fastscbench && $(GO) vet ./... && $(GO) test ./...
 
 # fastscvet builds the repo's own analyzer suite (internal/lint, five
 # analyzers: maporder, hotalloc, poolpair, keyfields, ctxflow) as a

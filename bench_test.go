@@ -251,7 +251,7 @@ func BenchmarkCompileColorDynamic81(b *testing.B) {
 	comp := schedule.ColorDynamic{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.Compile(nil, circ, sys, schedule.Options{}); err != nil {
+		if _, err := comp.Compile(&compile.Context{}, circ, sys, schedule.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func BenchmarkStatevector14Qubits(b *testing.B) {
 func BenchmarkNoisyTrajectory9Qubits(b *testing.B) {
 	sys := phys.NewSystem(topology.SquareGrid(9), phys.DefaultParams(), 42)
 	circ := bench.XEB(sys.Device, 5, 7)
-	sched, err := schedule.ColorDynamic{}.Compile(nil, circ, sys, schedule.Options{})
+	sched, err := schedule.ColorDynamic{}.Compile(&compile.Context{}, circ, sys, schedule.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

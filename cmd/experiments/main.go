@@ -37,7 +37,7 @@ type runner struct {
 func main() {
 	var (
 		workers    = flag.Int("workers", 0, "batch-engine worker pool size (0 = GOMAXPROCS)")
-		cacheSize  = flag.Int("cache-size", 0, "solver cache capacity in entries (0 = default)")
+		cacheSize  = flag.Int("cache-size", 0, "solver cache capacity in cost units (0 = default)")
 		cacheStats = flag.Bool("cache-stats", false, "print cache hit/miss counters after the run")
 		cacheFile  = flag.String("cache-file", "", "cache snapshot path: loaded before the run (cold start if missing/stale) and saved after it, so repeated sweeps skip recurring solver work; a .gz suffix writes it compressed")
 		warmSet    = flag.String("warm-set", "", "read-only shared warm-set snapshot: probed after a local cache miss, never written")

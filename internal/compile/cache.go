@@ -137,39 +137,26 @@ func (c *Cache) shardFor(nk string) *cacheShard {
 
 // NumShards returns the shard count (useful for tests and benchmarks).
 func (c *Cache) NumShards() int {
-	if c == nil {
-		return 0
-	}
 	return len(c.shards)
 }
 
 // AttachWarmSet attaches a read-only warm set as the cache's third tier:
 // lookups that miss the local shards probe it before computing, and warm
 // hits are promoted into the local shards (and counted as Stats.WarmHits).
-// The warm set is never written. Attaching nil detaches. No-op on a nil
-// cache.
+// The warm set is never written. Attaching nil detaches.
 func (c *Cache) AttachWarmSet(w *WarmSet) {
-	if c == nil {
-		return
-	}
 	c.warm.Store(w)
 }
 
 // WarmSet returns the attached warm set, or nil.
 func (c *Cache) WarmSet() *WarmSet {
-	if c == nil {
-		return nil
-	}
 	return c.warm.Load()
 }
 
 // Get looks up key through the tiers (local shards, then the attached
 // warm set), promoting it to most-recently-used — and, on a warm hit, into
-// the local shards — on a hit. Nil caches always miss without accounting.
+// the local shards — on a hit.
 func (c *Cache) Get(region, key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
 	v, tier, s := c.getTiered(region, key)
 	if tier == TierMiss {
 		s.count(region, TierMiss)
@@ -218,11 +205,8 @@ func (c *Cache) peek(region, key string) (any, bool) {
 
 // Put stores value under (region, key), evicting the least-recently-used
 // entry of the key's shard when that shard is full. Storing an existing
-// key refreshes its value and recency. Put on a nil cache is a no-op.
+// key refreshes its value and recency.
 func (c *Cache) Put(region, key string, value any) {
-	if c == nil {
-		return
-	}
 	nk := namespaced(region, key)
 	s := c.shardFor(nk)
 	s.mu.Lock()
@@ -247,7 +231,10 @@ func (c *Cache) Do(region, key string, compute func() (any, error)) (any, error)
 // caller's in-flight computation), TierWarm for a warm-set hit, TierMiss
 // when this caller's compute ran or the flight it shared failed. The
 // cache's own counters record the same tier. Request-scoped Recorders use
-// the tier to attribute warm-set traffic separately from local hits.
+// the tier to attribute warm-set traffic separately from local hits. A nil
+// cache — the zero Context's — runs compute and reports TierMiss; it is
+// the one place that decides "no cache", and Do and DoTiered are the only
+// methods valid on a nil *Cache.
 func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, Tier, error) {
 	if c == nil {
 		v, err := compute()
@@ -287,9 +274,6 @@ func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, 
 
 // Len returns the current number of entries across all shards.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -301,9 +285,6 @@ func (c *Cache) Len() int {
 
 // StatsByRegion returns the per-region counters aggregated across shards.
 func (c *Cache) StatsByRegion() map[string]Stats {
-	if c == nil {
-		return nil
-	}
 	out := make(map[string]Stats)
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -328,9 +309,6 @@ func (c *Cache) TotalStats() Stats {
 // used by the snapshot writer. Values are the shared immutable cache
 // values; callers must not mutate them.
 func (c *Cache) regionEntries(region string) map[string]any {
-	if c == nil {
-		return nil
-	}
 	prefix := namespaced(region, "")
 	out := make(map[string]any)
 	for _, s := range c.shards {

@@ -16,9 +16,10 @@
 //     few subgraphs over and over.
 //
 // A Context bundles the cache with a parallelism budget and is injected
-// into schedule.Compiler.Compile; a nil *Context is always valid and means
-// "no cache, default parallelism". All cached values are treated as
-// immutable after insertion — callers must never mutate what they get back.
+// into schedule.Compiler.Compile. The zero value is valid: no cache,
+// default workers; every lookup computes. A nil *Context is not. All
+// cached values are treated as immutable after insertion — callers must
+// never mutate what they get back.
 //
 // # Cache v2: sharding, single-flight, persistence
 //
@@ -63,8 +64,8 @@ import "runtime"
 
 // Context carries the shared compilation state injected into every
 // compiler: the memoization cache and the parallelism budget for batch
-// runs. The zero value and the nil pointer are both valid (no cache,
-// default workers); every method is nil-safe.
+// runs. The zero value is valid: no cache, default workers; every lookup
+// computes. A nil *Context is not.
 type Context struct {
 	// Cache memoizes SMT solutions, crosstalk graphs, static palettes and
 	// per-slice coloring solutions. Nil disables memoization.
@@ -87,24 +88,15 @@ func NewContext(workers int) *Context {
 
 // workers resolves the effective worker count.
 func (c *Context) workers() int {
-	if c != nil && c.Workers > 0 {
+	if c.Workers > 0 {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// cache returns the cache, or nil when memoization is disabled.
-func (c *Context) cache() *Cache {
-	if c == nil {
-		return nil
-	}
-	return c.Cache
-}
-
-// Stats reports the cache counters, or the zero map when no cache is
-// attached.
+// Stats reports the cache counters, or nil when no cache is attached.
 func (c *Context) Stats() map[string]Stats {
-	if c == nil || c.Cache == nil {
+	if c.Cache == nil {
 		return nil
 	}
 	return c.Cache.StatsByRegion()

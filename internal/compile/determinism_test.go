@@ -64,7 +64,7 @@ func TestCachedCompilationIsDeterministic(t *testing.T) {
 	for name, c := range circs {
 		for _, comp := range schedule.Extended() {
 			label := comp.Name() + "/" + name
-			uncached, err := comp.Compile(nil, c, sys, schedule.Options{})
+			uncached, err := comp.Compile(&compile.Context{}, c, sys, schedule.Options{})
 			if err != nil {
 				t.Fatalf("%s uncached: %v", label, err)
 			}
@@ -224,7 +224,7 @@ func TestWarmStartCompilationIsDeterministic(t *testing.T) {
 	}
 	for _, comp := range schedule.Extended() {
 		label := comp.Name() + "/warm-start"
-		uncached, err := comp.Compile(nil, circ, sys, schedule.Options{})
+		uncached, err := comp.Compile(&compile.Context{}, circ, sys, schedule.Options{})
 		if err != nil {
 			t.Fatalf("%s uncached: %v", label, err)
 		}

@@ -51,8 +51,7 @@ type Outcome struct {
 // RunBatch fans jobs across a bounded worker pool (ctx.Workers, defaulting
 // to GOMAXPROCS) and streams outcomes over the returned channel as they
 // complete. The channel is closed after the last outcome. A panicking job
-// is reported as that job's Err rather than tearing down the batch. Safe on
-// a nil receiver.
+// is reported as that job's Err rather than tearing down the batch.
 func (c *Context) RunBatch(jobs []Job) <-chan Outcome {
 	return c.RunBatchCtx(context.Background(), jobs)
 }

@@ -211,18 +211,18 @@ func TestCollectBatchPreservesSubmissionOrder(t *testing.T) {
 	}
 }
 
-func TestRunBatchNilContextAndEmptyBatch(t *testing.T) {
-	var ctx *Context
+func TestRunBatchZeroContextAndEmptyBatch(t *testing.T) {
+	ctx := &Context{}
 	outcomes := ctx.CollectBatch([]Job{
 		{Key: "a", Run: func(c *Context) (any, error) {
-			if c != nil {
-				return nil, errors.New("nil context should stay nil in jobs")
+			if c != ctx {
+				return nil, errors.New("job did not receive the batch's Context")
 			}
 			return 42, nil
 		}},
 	})
 	if outcomes[0].Err != nil || outcomes[0].Value.(int) != 42 {
-		t.Fatalf("nil-context batch: %+v", outcomes[0])
+		t.Fatalf("zero-context batch: %+v", outcomes[0])
 	}
 	for range ctx.RunBatch(nil) {
 		t.Fatal("empty batch emitted an outcome")

@@ -150,12 +150,19 @@ func SystemSignature(sys *phys.System) string {
 
 // SMTKey is the cache key of one smt.Solve invocation. The solver is a pure
 // function of exactly these inputs; the key is an exact encoding, not a
-// hash, so distinct configurations can never collide.
+// hash, so distinct configurations can never collide. SMT keys are
+// persisted without a version prefix, so the bytes are fixed: k in
+// decimal, then each float's bits in lowercase hex, '|'-separated — the
+// fmt "%d|%x|%x|%x|%x" encoding, built without fmt because every SMT
+// lookup builds one.
 func SMTKey(k int, cfg smt.Config) string {
-	return fmt.Sprintf("%d|%x|%x|%x|%x",
-		k,
-		math.Float64bits(cfg.Lo), math.Float64bits(cfg.Hi),
-		math.Float64bits(cfg.Alpha), math.Float64bits(cfg.MinDelta))
+	var arr [88]byte // a decimal int64 and four '|'-prefixed 16-digit hex words
+	buf := strconv.AppendInt(arr[:0], int64(k), 10)
+	for _, f := range [...]float64{cfg.Lo, cfg.Hi, cfg.Alpha, cfg.MinDelta} {
+		buf = append(buf, '|')
+		buf = strconv.AppendUint(buf, math.Float64bits(f), 16)
+	}
+	return string(buf)
 }
 
 // XtalkKey is the cache key of a crosstalk-graph construction.

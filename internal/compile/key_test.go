@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -231,17 +232,16 @@ func TestAnalysisMemoSharesAcrossAllocations(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 2 {
 		t.Fatalf("circ region stats = %+v, want 1 hit / 2 misses", st)
 	}
-	// A nil context analyzes directly (no cache probe, no key built).
-	var nilCtx *Context
-	if nilCtx.Analysis(build()) == nil {
-		t.Fatal("nil-context Analysis must still analyze")
+	// The zero (cacheless) context analyzes directly.
+	if (&Context{}).Analysis(build()) == nil {
+		t.Fatal("zero-context Analysis must still analyze")
 	}
 }
 
 // TestRouteMemoShares checks the route region's contract: content-
 // identical circuits on the same device and options share one routed
 // Result across allocations; a different placement, router, circuit or
-// device resolves to a different entry; and a nil context still routes.
+// device resolves to a different entry; and the zero context still routes.
 func TestRouteMemoShares(t *testing.T) {
 	build := func() *circuit.Circuit {
 		c := circuit.New(9)
@@ -282,9 +282,8 @@ func TestRouteMemoShares(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 3 {
 		t.Fatalf("route region stats = %+v, want 1 hit / 3 misses", st)
 	}
-	var nilCtx *Context
-	if r, err := nilCtx.Route(build(), dev, mapping.Options{}); err != nil || r == nil {
-		t.Fatalf("nil-context Route must still route: %v", err)
+	if r, err := (&Context{}).Route(build(), dev, mapping.Options{}); err != nil || r == nil {
+		t.Fatalf("zero-context Route must still route: %v", err)
 	}
 	// An unroutable request must error and never cache.
 	wide := circuit.New(16)
@@ -306,5 +305,41 @@ func TestDeviceSignatureCoversCoords(t *testing.T) {
 	b.Coords[2] = topology.Coord{Row: 5, Col: 7}
 	if DeviceSignature(a) == DeviceSignature(b) {
 		t.Fatal("devices differing only in coordinates must not share a signature")
+	}
+}
+
+// TestSMTKeyFormatStable pins SMTKey's bytes to the fmt encoding it was
+// first written with. SMT keys are persisted in snapshots without a
+// version prefix, so any drift would silently turn every persisted smt
+// entry into a miss. The cases cover signed zeros, NaNs, infinities,
+// negative and extreme k, and random bit patterns.
+func TestSMTKeyFormatStable(t *testing.T) {
+	ref := func(k int, cfg smt.Config) string {
+		return fmt.Sprintf("%d|%x|%x|%x|%x", k,
+			math.Float64bits(cfg.Lo), math.Float64bits(cfg.Hi),
+			math.Float64bits(cfg.Alpha), math.Float64bits(cfg.MinDelta))
+	}
+	check := func(k int, cfg smt.Config) {
+		t.Helper()
+		if got, want := SMTKey(k, cfg), ref(k, cfg); got != want {
+			t.Fatalf("SMTKey(%d, %+v) = %q, want %q", k, cfg, got, want)
+		}
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		-0.2, 4.5, -1e300, math.SmallestNonzeroFloat64, math.MaxFloat64,
+	}
+	ks := []int{0, 1, 2, 17, -1, -42, math.MaxInt64, math.MinInt64}
+	for _, k := range ks {
+		for i, f := range specials {
+			g := specials[(i+3)%len(specials)]
+			check(k, smt.Config{Lo: f, Hi: g, Alpha: -f, MinDelta: g})
+			check(k, smt.Config{Lo: g, Hi: f})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	bits := func() float64 { return math.Float64frombits(rng.Uint64()) }
+	for i := 0; i < 320; i++ {
+		check(int(rng.Uint64()), smt.Config{Lo: bits(), Hi: bits(), Alpha: bits(), MinDelta: bits()})
 	}
 }

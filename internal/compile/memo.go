@@ -19,6 +19,16 @@ type smtResult struct {
 	err   error
 }
 
+// memo is the one lookup path behind every memo method: Cache.DoTiered
+// serves (region, key) from the cache's tiers or runs compute — directly,
+// with no cache to consult, on a Context whose Cache is nil — and the
+// serving tier is attributed to the request's Recorder, if any.
+func (c *Context) memo(region, key string, compute func() (any, error)) (any, error) {
+	v, tier, err := c.Cache.DoTiered(region, key, compute)
+	c.Record.recordTier(region, tier)
+	return v, err
+}
+
 // SolveSMT is a memoizing smt.Solve: identical (k, cfg) pairs — which recur
 // across slices, strategies and jobs on the same device — are solved once,
 // including under concurrency (misses go through the cache's single-flight
@@ -26,17 +36,11 @@ type smtResult struct {
 // cached and deduplicated like solutions). The returned slice is shared;
 // callers must not mutate it.
 func (c *Context) SolveSMT(k int, cfg smt.Config) ([]float64, float64, error) {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionSMT, false)
-		return smt.Solve(k, cfg)
-	}
-	v, tier, _ := cache.DoTiered(RegionSMT, SMTKey(k, cfg), func() (any, error) {
+	v, _ := c.memo(RegionSMT, SMTKey(k, cfg), func() (any, error) {
 		faultpoint.Sleep(faultpoint.SolveSlow)
 		xs, delta, err := smt.Solve(k, cfg)
 		return smtResult{xs: xs, delta: delta, err: err}, nil
 	})
-	c.recordTier(RegionSMT, tier)
 	r := v.(smtResult)
 	return r.xs, r.delta, r.err
 }
@@ -47,15 +51,9 @@ func (c *Context) SolveSMT(k int, cfg smt.Config) ([]float64, float64, error) {
 // (all-pairs distances), so sharing it across a batch matters on large
 // chips.
 func (c *Context) Xtalk(dev *topology.Device, distance int) *xtalk.Graph {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionXtalk, false)
-		return xtalk.Build(dev, distance)
-	}
-	v, tier, _ := cache.DoTiered(RegionXtalk, XtalkKey(dev, distance), func() (any, error) {
+	v, _ := c.memo(RegionXtalk, XtalkKey(dev, distance), func() (any, error) {
 		return xtalk.Build(dev, distance), nil
 	})
-	c.recordTier(RegionXtalk, tier)
 	return v.(*xtalk.Graph)
 }
 
@@ -64,15 +62,8 @@ func (c *Context) Xtalk(dev *topology.Device, distance int) *xtalk.Graph {
 // signature) is computed once per circuit content signature and shared
 // read-only by every strategy compiling that circuit — in a Fig 9–13
 // sweep, the 5–7 strategies of a batch all consume the same analysis
-// instead of re-deriving the dependency structure per compile. Without a
-// cache the analysis is computed directly (the gate list is still hashed
-// once — Analysis.Sig is part of the IR — but no key is built).
+// instead of re-deriving the dependency structure per compile.
 func (c *Context) Analysis(circ *circuit.Circuit) *circuit.Analysis {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionCircuit, false)
-		return circuit.Analyze(circ)
-	}
 	// The key (CircuitKey) is the 128-bit content signature plus the exact
 	// qubit and gate counts — the cheap dimensions are encoded exactly
 	// (the same discipline as SliceKey), so a hypothetical digest
@@ -80,10 +71,9 @@ func (c *Context) Analysis(circ *circuit.Circuit) *circuit.Analysis {
 	// signature computed here is reused on the miss path, so a miss hashes
 	// the gate list once.
 	sig := circ.Signature()
-	v, tier, _ := cache.DoTiered(RegionCircuit, CircuitKey(circ, sig), func() (any, error) {
+	v, _ := c.memo(RegionCircuit, CircuitKey(circ, sig), func() (any, error) {
 		return circuit.AnalyzeWithSignature(circ, sig), nil
 	})
-	c.recordTier(RegionCircuit, tier)
 	return v.(*circuit.Analysis)
 }
 
@@ -99,24 +89,13 @@ func (c *Context) Analysis(circ *circuit.Circuit) *circuit.Analysis {
 // schedule share one Analysis per circuit signature.
 func (c *Context) Route(circ *circuit.Circuit, dev *topology.Device, opts mapping.Options) (*mapping.Result, error) {
 	opts = opts.WithDefaults()
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionRoute, false)
-		var ana *circuit.Analysis
-		if opts.NeedsAnalysis() {
-			ana = c.Analysis(circ)
-		}
-		return mapping.Plan(circ, ana, dev, opts)
-	}
-	key := RouteKey(circ, DeviceSignature(dev), opts)
-	v, tier, err := cache.DoTiered(RegionRoute, key, func() (any, error) {
+	v, err := c.memo(RegionRoute, RouteKey(circ, DeviceSignature(dev), opts), func() (any, error) {
 		var ana *circuit.Analysis
 		if opts.NeedsAnalysis() {
 			ana = c.Analysis(circ)
 		}
 		return mapping.Plan(circ, ana, dev, opts)
 	})
-	c.recordTier(RegionRoute, tier)
 	if err != nil {
 		return nil, err
 	}
@@ -147,15 +126,7 @@ type SliceSolution struct {
 // Slice returns the memoized solution for one active-subgraph key,
 // computing it on a miss. Compute must be a pure function of the key.
 func (c *Context) Slice(key string, compute func() (SliceSolution, error)) (SliceSolution, error) {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionSlice, false)
-		return compute()
-	}
-	v, tier, err := cache.DoTiered(RegionSlice, key, func() (any, error) {
-		return compute()
-	})
-	c.recordTier(RegionSlice, tier)
+	v, err := c.memo(RegionSlice, key, func() (any, error) { return compute() })
 	if err != nil {
 		return SliceSolution{}, err
 	}
@@ -166,15 +137,7 @@ func (c *Context) Slice(key string, compute func() (SliceSolution, error)) (Slic
 // (keyed by its signature), computing it on a miss. The returned slice is
 // indexed by qubit id and shared read-only.
 func (c *Context) Parking(sysSig string, compute func() ([]float64, error)) ([]float64, error) {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionParking, false)
-		return compute()
-	}
-	v, tier, err := cache.DoTiered(RegionParking, sysSig, func() (any, error) {
-		return compute()
-	})
-	c.recordTier(RegionParking, tier)
+	v, err := c.memo(RegionParking, sysSig, func() (any, error) { return compute() })
 	if err != nil {
 		return nil, err
 	}
@@ -186,14 +149,5 @@ func (c *Context) Parking(sysSig string, compute func() ([]float64, error)) ([]f
 // value is opaque to this package; schedule stores its own table type and
 // treats it as immutable.
 func (c *Context) Static(key string, compute func() (any, error)) (any, error) {
-	cache := c.cache()
-	if cache == nil {
-		c.record(RegionStatic, false)
-		return compute()
-	}
-	v, tier, err := cache.DoTiered(RegionStatic, key, func() (any, error) {
-		return compute()
-	})
-	c.recordTier(RegionStatic, tier)
-	return v, err
+	return c.memo(RegionStatic, key, compute)
 }

@@ -51,7 +51,7 @@ func randomNativeCircuit(dev interface {
 
 // TestParallelCompilationMatchesSerialReference is the determinism
 // contract of the cache: compiling with a multi-worker cached Context must
-// produce schedules byte-identical to the nil-Context compile, on a cold
+// produce schedules byte-identical to the zero-Context compile, on a cold
 // cache and again on the warm one, across the Fig 9–13 workload shapes and
 // randomized circuits. Run under -race this doubles as the data-race proof
 // for the shared cache.
@@ -70,9 +70,9 @@ func TestParallelCompilationMatchesSerialReference(t *testing.T) {
 		ctx := compile.NewContext(8)
 		for _, comp := range schedule.Extended() {
 			label := comp.Name() + "/" + name
-			want, err := comp.Compile(nil, c, sys, schedule.Options{})
+			want, err := comp.Compile(&compile.Context{}, c, sys, schedule.Options{})
 			if err != nil {
-				t.Fatalf("%s nil Context: %v", label, err)
+				t.Fatalf("%s zero Context: %v", label, err)
 			}
 			for _, pass := range []string{"cold", "warm"} {
 				got, err := comp.Compile(ctx, c, sys, schedule.Options{})
@@ -88,19 +88,23 @@ func TestParallelCompilationMatchesSerialReference(t *testing.T) {
 // TestComponentDecompositionMatchesMonolith pins the slice solve at its
 // most sensitive spot: a constrained color budget, where deferral
 // decisions depend on the exact coloring of each slice's active subgraph.
-// The nil-Context compile colors every slice whole, with no memo to
-// consult; a cached multi-worker Context must agree with it exactly. The
-// cases once caught any drift between the per-component merge and the
-// whole-subgraph coloring; they now guard the whole-slice memo the same
-// way.
+// The zero-Context compile colors every slice whole, with no memo to
+// consult (its Recorder pins that: no hits, every slice a miss); a cached
+// multi-worker Context must agree with it exactly. The cases once caught
+// any drift between the per-component merge and the whole-subgraph
+// coloring; they now guard the whole-slice memo the same way.
 func TestComponentDecompositionMatchesMonolith(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 5, 11)
 	for _, maxColors := range []int{1, 2, 3, -1} {
 		opts := schedule.Options{MaxColors: maxColors}
-		want, err := schedule.ColorDynamic{}.Compile(nil, c, sys, opts)
+		ref := &compile.Context{Record: compile.NewRecorder()}
+		want, err := schedule.ColorDynamic{}.Compile(ref, c, sys, opts)
 		if err != nil {
-			t.Fatalf("nil Context maxColors=%d: %v", maxColors, err)
+			t.Fatalf("zero Context maxColors=%d: %v", maxColors, err)
+		}
+		if tot, slice := ref.Record.Total(), ref.Record.StatsByRegion()[compile.RegionSlice]; tot.Hits != 0 || tot.WarmHits != 0 || slice.Misses == 0 {
+			t.Fatalf("maxColors=%d: reference consulted a memo: total %+v, slice %+v", maxColors, tot, slice)
 		}
 		got, err := schedule.ColorDynamic{}.Compile(compile.NewContext(4), c, sys, opts)
 		if err != nil {

@@ -138,11 +138,8 @@ func fromPersistedSMT(p persistedSMT) smtResult {
 // compression regardless of name. Static-region entries whose values
 // cannot be gob-encoded — an unregistered provider type — are skipped
 // silently: a snapshot is a best-effort warm start, never a source of
-// truth. Save on a nil cache is a no-op.
+// truth.
 func (c *Cache) Save(path string) error {
-	if c == nil {
-		return nil
-	}
 	snap := diskSnapshot{
 		Magic:      snapshotMagic,
 		Version:    SnapshotVersion,
@@ -347,11 +344,8 @@ func readSnapshot(path string) (*diskSnapshot, LoadResult, error) {
 // leave the cache cold (or partially warm) with the reason in
 // LoadResult.Degraded — a compilation must never fail because its warm
 // start did. The returned error is non-nil only for genuine I/O failures
-// on an existing file. LoadSnapshot on a nil cache is a no-op.
+// on an existing file.
 func (c *Cache) LoadSnapshot(path string) (LoadResult, error) {
-	if c == nil {
-		return LoadResult{}, nil
-	}
 	snap, res, err := readSnapshot(path)
 	if snap == nil || err != nil {
 		return res, err

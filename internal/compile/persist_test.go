@@ -253,16 +253,6 @@ func TestSnapshotSkipsUnencodableStatics(t *testing.T) {
 	}
 }
 
-func TestSnapshotNilCache(t *testing.T) {
-	var c *Cache
-	if err := c.Save(filepath.Join(t.TempDir(), "x")); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.Load("anything"); n != 0 || err != nil {
-		t.Fatalf("nil cache Load = %d, %v", n, err)
-	}
-}
-
 // TestSaveFaultpointError: the snapshot.save.err fault point makes Save
 // fail with an injected error the caller can identify, leaving no partial
 // file behind.

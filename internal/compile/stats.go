@@ -29,15 +29,6 @@ func NewRecorder() *Recorder {
 	return &Recorder{regions: make(map[string]Stats)}
 }
 
-// record counts one lookup against region.
-func (r *Recorder) record(region string, hit bool) {
-	if hit {
-		r.recordTier(region, TierLocal)
-	} else {
-		r.recordTier(region, TierMiss)
-	}
-}
-
 // recordTier counts one tiered lookup against region: local hits, warm-set
 // hits and misses are attributed separately (Stats.HitRate folds warm hits
 // into the rate, since they spared the compute).
@@ -82,34 +73,11 @@ func (r *Recorder) Total() Stats {
 	return total
 }
 
-// record is the Context-level hook the memoizing methods call; nil-safe on
-// both the Context and its Recorder.
-func (c *Context) record(region string, hit bool) {
-	if c == nil || c.Record == nil {
-		return
-	}
-	c.Record.record(region, hit)
-}
-
-// recordTier is record with warm-set attribution, used by the memo methods
-// that go through Cache.DoTiered.
-func (c *Context) recordTier(region string, tier Tier) {
-	if c == nil || c.Record == nil {
-		return
-	}
-	c.Record.recordTier(region, tier)
-}
-
 // Scoped returns a child Context for one request: it shares c's cache (and
 // therefore its single-flight deduplication with every other request) but
 // carries its own worker budget and a fresh Recorder, so the request's
 // cache traffic is accounted separately from the process totals. workers
-// <= 0 selects GOMAXPROCS. Scoped on a nil Context returns a cacheless
-// scoped Context.
+// <= 0 selects GOMAXPROCS.
 func (c *Context) Scoped(workers int) *Context {
-	scoped := &Context{Workers: workers, Record: NewRecorder()}
-	if c != nil {
-		scoped.Cache = c.Cache
-	}
-	return scoped
+	return &Context{Cache: c.Cache, Workers: workers, Record: NewRecorder()}
 }

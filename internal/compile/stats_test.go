@@ -68,7 +68,11 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				rec.record(RegionSMT, j%2 == 0)
+				tier := TierMiss
+				if j%2 == 0 {
+					tier = TierLocal
+				}
+				rec.recordTier(RegionSMT, tier)
 			}
 		}()
 	}

@@ -38,9 +38,9 @@ type BatchResult struct {
 	Err error
 }
 
-// BatchCompile fans jobs across ctx's worker pool (nil ctx: GOMAXPROCS
-// workers, no cache) and streams results over the returned channel as they
-// complete. All jobs share ctx's cache, so recurring device-level solver
+// BatchCompile fans jobs across ctx's worker pool (the zero Context:
+// GOMAXPROCS workers, no cache) and streams results over the returned
+// channel as they complete. All jobs share ctx's cache, so recurring device-level solver
 // work (SMT solutions, crosstalk graphs, static palettes) and recurring
 // slice subgraphs are computed once across the whole batch — including
 // when many workers miss on the same key simultaneously: the cache's

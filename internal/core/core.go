@@ -90,14 +90,15 @@ type Result struct {
 }
 
 // Compile routes, schedules and evaluates circ on sys under the named
-// strategy, without cross-job memoization. It is shorthand for
-// CompileCtx(nil, ...); batch callers should share a compile.Context.
+// strategy, without cross-job memoization. It is shorthand for CompileCtx
+// on the zero compile.Context; batch callers should share a cached one.
 func Compile(circ *circuit.Circuit, sys *phys.System, strategy string, cfg Config) (*Result, error) {
-	return CompileCtx(nil, circ, sys, strategy, cfg)
+	return CompileCtx(&compile.Context{}, circ, sys, strategy, cfg)
 }
 
 // CompileCtx routes, schedules and evaluates circ on sys under the named
-// strategy, memoizing the solver stages through ctx (nil disables caching).
+// strategy, memoizing the solver stages through ctx's cache (the zero
+// Context has none: every stage computes). ctx must not be nil.
 func CompileCtx(ctx *compile.Context, circ *circuit.Circuit, sys *phys.System, strategy string, cfg Config) (*Result, error) {
 	comp := schedule.ByName(strategy)
 	if comp == nil {
@@ -132,9 +133,10 @@ func CompileCtx(ctx *compile.Context, circ *circuit.Circuit, sys *phys.System, s
 }
 
 // CompileAll runs every strategy on the same circuit and system through the
-// batch engine, returning results keyed by strategy name.
+// batch engine on the zero compile.Context (default workers, no cache),
+// returning results keyed by strategy name.
 func CompileAll(circ *circuit.Circuit, sys *phys.System, cfg Config) (map[string]*Result, error) {
-	return CompileAllCtx(nil, circ, sys, cfg)
+	return CompileAllCtx(&compile.Context{}, circ, sys, cfg)
 }
 
 // CompileAllCtx is CompileAll with a shared compilation context: the five

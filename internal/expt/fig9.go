@@ -27,7 +27,7 @@ type Fig9Result struct {
 // Fig9SuccessRates reproduces Fig 9: worst-case program success rate for
 // every benchmark under the five strategies of Table I. The full
 // benchmark × strategy matrix is fanned through the batch engine under ctx
-// (nil runs with default parallelism and no cache).
+// (the zero Context runs with default parallelism and no cache).
 func Fig9SuccessRates(ctx *compile.Context) (*Fig9Result, error) {
 	strategies := core.Strategies()
 	suite := Suite()

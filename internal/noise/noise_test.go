@@ -6,6 +6,7 @@ import (
 
 	"fastsc/internal/bench"
 	"fastsc/internal/circuit"
+	"fastsc/internal/compile"
 	"fastsc/internal/phys"
 	"fastsc/internal/schedule"
 	"fastsc/internal/topology"
@@ -17,7 +18,7 @@ func compiled(t *testing.T, strategy string, c *circuit.Circuit, sys *phys.Syste
 	if comp == nil {
 		t.Fatalf("unknown strategy %s", strategy)
 	}
-	s, err := comp.Compile(nil, c, sys, opts)
+	s, err := comp.Compile(&compile.Context{}, c, sys, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"fastsc/internal/bench"
 	"fastsc/internal/circuit"
+	"fastsc/internal/compile"
 	"fastsc/internal/phys"
 	"fastsc/internal/schedule"
 	"fastsc/internal/topology"
@@ -13,7 +14,7 @@ import (
 
 func loweredSchedule(t *testing.T, strategy string, c *circuit.Circuit, sys *phys.System) (*schedule.Schedule, *Program) {
 	t.Helper()
-	s, err := schedule.ByName(strategy).Compile(nil, c, sys, schedule.Options{})
+	s, err := schedule.ByName(strategy).Compile(&compile.Context{}, c, sys, schedule.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package schedule
 import (
 	"testing"
 
+	"fastsc/internal/compile"
 	"fastsc/internal/smt"
 )
 
@@ -25,7 +26,7 @@ func TestMaxColorsFeasibleMatchesLinearScan(t *testing.T) {
 		cfg := smt.Config{Lo: 6.0, Hi: 6.0 + width, Alpha: -0.2, MinDelta: 0.04}
 		for cap := 1; cap <= 20; cap++ {
 			want := linear(cfg, cap)
-			if got := maxColorsFeasible(nil, cfg, cap); got != want {
+			if got := maxColorsFeasible(&compile.Context{}, cfg, cap); got != want {
 				t.Fatalf("width=%v cap=%d: galloping probe = %d, linear scan = %d", width, cap, got, want)
 			}
 		}

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"fastsc/internal/bench"
+	"fastsc/internal/compile"
 )
 
 func TestGmonDynamicCompiles(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 5, 3)
-	s, err := (GmonDynamic{}).Compile(nil, c, sys, Options{Residual: 0.5})
+	s, err := (GmonDynamic{}).Compile(&compile.Context{}, c, sys, Options{Residual: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +33,11 @@ func TestGmonDynamicSchedulesLikeColorDynamic(t *testing.T) {
 	// model differs.
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 5, 3)
-	cd, err := (ColorDynamic{}).Compile(nil, c, sys, Options{})
+	cd, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdg, err := (GmonDynamic{}).Compile(nil, c, sys, Options{})
+	cdg, err := (GmonDynamic{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

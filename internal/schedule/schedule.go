@@ -121,7 +121,7 @@ func (o Options) withDefaults() Options {
 
 // Compiler turns a circuit into a timed schedule on a system. The injected
 // compile.Context supplies the cross-job memoization cache and parallelism
-// budget; nil is always valid and compiles without caching.
+// budget; the zero Context compiles without caching. It must not be nil.
 type Compiler interface {
 	Name() string
 	Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, opts Options) (*Schedule, error)
@@ -457,10 +457,12 @@ func sortByCriticality(ready []int, crit []int32) {
 	}
 }
 
-// Verify checks schedule invariants: every compiled gate appears exactly
-// once, slices never reuse a qubit, active frequencies lie in the
-// interaction band, and slice times are contiguous. Used by tests and
-// available to callers as a safety net.
+// Verify checks four structural schedule invariants: each slice starts
+// where the previous one ended, no slice uses a qubit twice, the number of
+// issued gates equals the compiled circuit's gate count, and the slice
+// durations sum to TotalTime. It reads no frequency and no gate
+// dependency, so it does not check the interaction band or gate order.
+// Used by tests and available to callers as a safety net.
 func (s *Schedule) Verify() error {
 	count := 0
 	now := 0.0

@@ -6,6 +6,7 @@ import (
 
 	"fastsc/internal/bench"
 	"fastsc/internal/circuit"
+	"fastsc/internal/compile"
 	"fastsc/internal/graph"
 	"fastsc/internal/mapping"
 	"fastsc/internal/phys"
@@ -49,7 +50,7 @@ func TestAllStrategiesCompileAndVerify(t *testing.T) {
 	}
 	for name, c := range circs {
 		for _, comp := range Registry() {
-			s, err := comp.Compile(nil, c, sys, Options{})
+			s, err := comp.Compile(&compile.Context{}, c, sys, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", comp.Name(), name, err)
 			}
@@ -70,8 +71,8 @@ func TestScheduleDeterministic(t *testing.T) {
 	sys := testSystem(9)
 	c := bench.XEB(sys.Device, 3, 7)
 	for _, comp := range Registry() {
-		s1, err1 := comp.Compile(nil, c, sys, Options{})
-		s2, err2 := comp.Compile(nil, c, sys, Options{})
+		s1, err1 := comp.Compile(&compile.Context{}, c, sys, Options{})
+		s2, err2 := comp.Compile(&compile.Context{}, c, sys, Options{})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v %v", comp.Name(), err1, err2)
 		}
@@ -104,7 +105,7 @@ func TestCompiledDepthMatchesReference(t *testing.T) {
 	}
 	for name, c := range circs {
 		for _, comp := range Registry() {
-			s, err := comp.Compile(nil, c, sys, Options{})
+			s, err := comp.Compile(&compile.Context{}, c, sys, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", comp.Name(), name, err)
 			}
@@ -124,7 +125,7 @@ func TestCompileRejectsOversizedCircuit(t *testing.T) {
 	c := circuit.New(9)
 	c.H(0)
 	for _, comp := range Registry() {
-		if _, err := comp.Compile(nil, c, sys, Options{}); err == nil {
+		if _, err := comp.Compile(&compile.Context{}, c, sys, Options{}); err == nil {
 			t.Fatalf("%s accepted oversized circuit", comp.Name())
 		}
 	}
@@ -132,7 +133,7 @@ func TestCompileRejectsOversizedCircuit(t *testing.T) {
 
 func TestParkingFrequenciesCheckerboard(t *testing.T) {
 	sys := testSystem(16)
-	s, err := (ColorDynamic{}).Compile(nil, smallCircuit(), sys, Options{})
+	s, err := (ColorDynamic{}).Compile(&compile.Context{}, smallCircuit(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestParkingFrequenciesCheckerboard(t *testing.T) {
 
 func TestParkingInsideParkingBand(t *testing.T) {
 	sys := testSystem(9)
-	s, err := (Uniform{}).Compile(nil, smallCircuit(), sys, Options{})
+	s, err := (Uniform{}).Compile(&compile.Context{}, smallCircuit(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestInteractionFrequenciesReachable(t *testing.T) {
 	sys := testSystem(9)
 	c := bench.XEB(sys.Device, 4, 1)
 	for _, comp := range Registry() {
-		s, err := comp.Compile(nil, c, sys, Options{})
+		s, err := comp.Compile(&compile.Context{}, c, sys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestInteractionFrequenciesReachable(t *testing.T) {
 func TestUniformSingleFrequency(t *testing.T) {
 	sys := testSystem(9)
 	c := bench.XEB(sys.Device, 4, 1)
-	s, err := (Uniform{}).Compile(nil, c, sys, Options{})
+	s, err := (Uniform{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestUniformSingleFrequency(t *testing.T) {
 func TestUniformSerializesAdjacentGates(t *testing.T) {
 	sys := testSystem(9)
 	c := bench.XEB(sys.Device, 4, 1)
-	s, err := (Uniform{}).Compile(nil, c, sys, Options{})
+	s, err := (Uniform{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestUniformSerializesAdjacentGates(t *testing.T) {
 func TestColorDynamicSeparatesNearbyGates(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 6, 2)
-	s, err := (ColorDynamic{}).Compile(nil, c, sys, Options{})
+	s, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestColorDynamicMaxColorsBound(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 6, 2)
 	for _, k := range []int{1, 2, 3, 4} {
-		s, err := (ColorDynamic{}).Compile(nil, c, sys, Options{MaxColors: k})
+		s, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{MaxColors: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,11 +314,11 @@ func TestColorDynamicMaxColorsBound(t *testing.T) {
 func TestColorDynamicFewerColorsMeansDeeper(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 6, 2)
-	s1, err := (ColorDynamic{}).Compile(nil, c, sys, Options{MaxColors: 1})
+	s1, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{MaxColors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := (ColorDynamic{}).Compile(nil, c, sys, Options{MaxColors: 4})
+	s4, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{MaxColors: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestColorDynamicFewerColorsMeansDeeper(t *testing.T) {
 func TestGmonActiveCouplersTracked(t *testing.T) {
 	sys := testSystem(9)
 	c := bench.XEB(sys.Device, 4, 1)
-	s, err := (Gmon{}).Compile(nil, c, sys, Options{Residual: 0.3})
+	s, err := (Gmon{}).Compile(&compile.Context{}, c, sys, Options{Residual: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestGmonActiveCouplersTracked(t *testing.T) {
 func TestGmonTilingOnePatternPerSlice(t *testing.T) {
 	sys := testSystem(16)
 	c := bench.XEB(sys.Device, 4, 1)
-	s, err := (Gmon{}).Compile(nil, c, sys, Options{})
+	s, err := (Gmon{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestNaiveASAPDepthMatchesCircuit(t *testing.T) {
 	c := circuit.Decompose(smallCircuit(), circuit.Hybrid)
 	wide := circuit.New(9)
 	wide.Gates = c.Gates
-	s, err := (Naive{}).Compile(nil, smallCircuit(), sys, Options{})
+	s, err := (Naive{}).Compile(&compile.Context{}, smallCircuit(), sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestSlicesNeverReuseQubits(t *testing.T) {
 	sys := testSystem(9)
 	c := routedIsing(t, sys, 9, 4)
 	for _, comp := range Registry() {
-		s, err := comp.Compile(nil, c, sys, Options{})
+		s, err := comp.Compile(&compile.Context{}, c, sys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +478,7 @@ func TestMaxColorsFeasible(t *testing.T) {
 	sys := testSystem(4)
 	lo, hi := sys.CommonRange()
 	part := smt.PartitionFor(lo, hi)
-	k := maxColorsFeasible(nil, part.InteractionConfig(sys.MeanAnharmonicity()), 16)
+	k := maxColorsFeasible(&compile.Context{}, part.InteractionConfig(sys.MeanAnharmonicity()), 16)
 	if k < 2 {
 		t.Fatalf("interaction band should host at least 2 colors, got %d", k)
 	}
@@ -487,7 +488,7 @@ func TestDecomposeOptionRespected(t *testing.T) {
 	sys := testSystem(4)
 	c := circuit.New(4)
 	c.CNOT(0, 1)
-	s, err := (ColorDynamic{}).Compile(nil, c, sys, Options{Decompose: circuit.PureISwap})
+	s, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{Decompose: circuit.PureISwap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestFluxRampIncludedInSliceDuration(t *testing.T) {
 	sys := testSystem(4)
 	c := circuit.New(4)
 	c.H(0)
-	s, err := (ColorDynamic{}).Compile(nil, c, sys, Options{})
+	s, err := (ColorDynamic{}).Compile(&compile.Context{}, c, sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"fastsc/internal/bench"
 	"fastsc/internal/circuit"
+	"fastsc/internal/compile"
 	"fastsc/internal/phys"
 	"fastsc/internal/schedule"
 	"fastsc/internal/topology"
@@ -135,7 +136,7 @@ func TestDecomposedCircuitSameState(t *testing.T) {
 
 func compileFor(t *testing.T, strategy string, c *circuit.Circuit, sys *phys.System) *schedule.Schedule {
 	t.Helper()
-	s, err := schedule.ByName(strategy).Compile(nil, c, sys, schedule.Options{})
+	s, err := schedule.ByName(strategy).Compile(&compile.Context{}, c, sys, schedule.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
