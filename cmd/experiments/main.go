@@ -40,7 +40,6 @@ func main() {
 		cacheSize  = flag.Int("cache-size", 0, "solver cache capacity in cost units (0 = default)")
 		cacheStats = flag.Bool("cache-stats", false, "print cache hit/miss counters after the run")
 		cacheFile  = flag.String("cache-file", "", "cache snapshot path: loaded before the run (cold start if missing/stale) and saved after it, so repeated sweeps skip recurring solver work; a .gz suffix writes it compressed")
-		warmSet    = flag.String("warm-set", "", "read-only shared warm-set snapshot: probed after a local cache miss, never written")
 		router     = flag.String("router", "", "routing algorithm for every job: greedy (default) | lookahead")
 		placement  = flag.String("placement", "", "override every benchmark's initial placement: identity | snake | degree (default: per-benchmark)")
 	)
@@ -73,17 +72,6 @@ func main() {
 		case res.Restored > 0:
 			fmt.Fprintf(os.Stderr, "experiments: warmed solver cache with %d entries from %s\n", res.Restored, *cacheFile)
 		}
-	}
-	if *warmSet != "" {
-		ws := compile.OpenWarmSet(*warmSet)
-		if res, err := ws.Result(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: warm set: %v (ignored)\n", err)
-		} else if res.Degraded != "" {
-			fmt.Fprintf(os.Stderr, "experiments: warm set %s degraded (%s): ignored\n", *warmSet, res.Degraded)
-		} else {
-			fmt.Fprintf(os.Stderr, "experiments: warm set: %d entries from %s (read-only tier)\n", ws.Len(), *warmSet)
-		}
-		ctx.Cache.AttachWarmSet(ws)
 	}
 
 	runners := []runner{
@@ -222,10 +210,10 @@ func printCacheStats(ctx *compile.Context) {
 	fmt.Println("== solver cache ==")
 	for _, r := range regions {
 		s := stats[r]
-		fmt.Printf("%-8s hits %-8d warm %-8d misses %-8d evictions %-6d hit-rate %.1f%%\n",
-			r, s.Hits, s.WarmHits, s.Misses, s.Evictions, 100*s.HitRate())
+		fmt.Printf("%-8s hits %-8d misses %-8d evictions %-6d hit-rate %.1f%%\n",
+			r, s.Hits, s.Misses, s.Evictions, 100*s.HitRate())
 	}
 	t := ctx.Cache.TotalStats()
-	fmt.Printf("%-8s hits %-8d warm %-8d misses %-8d evictions %-6d hit-rate %.1f%%\n",
-		"total", t.Hits, t.WarmHits, t.Misses, t.Evictions, 100*t.HitRate())
+	fmt.Printf("%-8s hits %-8d misses %-8d evictions %-6d hit-rate %.1f%%\n",
+		"total", t.Hits, t.Misses, t.Evictions, 100*t.HitRate())
 }

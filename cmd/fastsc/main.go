@@ -45,7 +45,6 @@ func main() {
 		dist      = flag.Int("distance", 0, "crosstalk distance d (0 = default 2)")
 		workers   = flag.Int("workers", 0, "batch-engine worker pool size for -compare (0 = GOMAXPROCS)")
 		cacheFile = flag.String("cache-file", "", "cache snapshot path: loaded before compiling (cold start if missing/stale) and saved afterwards; a .gz suffix writes it compressed")
-		warmSet   = flag.String("warm-set", "", "read-only shared warm-set snapshot: probed after a local cache miss, never written")
 		router    = flag.String("router", "", "routing algorithm: greedy (default) | lookahead")
 		place     = flag.String("placement", "", "initial placement: identity | snake | degree (default: benchmark's natural choice)")
 		verbose   = flag.Bool("verbose", false, "print every slice with its frequencies")
@@ -107,15 +106,6 @@ func main() {
 		} else if res.Degraded != "" {
 			fmt.Fprintf(os.Stderr, "fastsc: cache snapshot %s degraded (%s): starting cold\n", *cacheFile, res.Degraded)
 		}
-	}
-	if *warmSet != "" {
-		ws := compile.OpenWarmSet(*warmSet)
-		if res, err := ws.Result(); err != nil {
-			fmt.Fprintf(os.Stderr, "fastsc: warm set: %v (ignored)\n", err)
-		} else if res.Degraded != "" {
-			fmt.Fprintf(os.Stderr, "fastsc: warm set %s degraded (%s): ignored\n", *warmSet, res.Degraded)
-		}
-		ctx.Cache.AttachWarmSet(ws)
 	}
 	if *compare {
 		runComparison(ctx, circ, sys, cfg)

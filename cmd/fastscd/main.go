@@ -33,10 +33,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
-	"fastsc/internal/compile"
 	"fastsc/internal/faultpoint"
 	"fastsc/internal/server"
 )
@@ -49,7 +49,6 @@ func main() {
 		maxQueue      = flag.Int("max-queue", 0, "batches waiting for a slot before 429 (0 = default 16, -1 = none)")
 		maxJobs       = flag.Int("max-jobs", 0, "jobs per batch (0 = default 256)")
 		cacheFile     = flag.String("cache-file", "", "cache snapshot path: loaded at startup (cold start if missing/stale) and saved after a clean drain; a .gz suffix writes it compressed")
-		warmSetFile   = flag.String("warm-set", "", "read-only shared warm-set snapshot: probed after a local cache miss, never written; typically one file served to a whole fleet")
 		cacheCap      = flag.Int("cache-capacity", 0, "compile cache capacity in cost units (0 = default)")
 		storeFile     = flag.String("store-file", "", "durable batch-store path: async batch records survive restarts (in-flight ones poll as \"interrupted\")")
 		snapInterval  = flag.Duration("snapshot-interval", 0, "also save the cache snapshot periodically (0 = only on clean shutdown); makes warm starts survive kill -9")
@@ -88,29 +87,6 @@ func main() {
 		}
 	}
 
-	// The shared warm set attaches before the listener: its lazy load means
-	// attaching is free, and the first cache miss pays the one-time read.
-	// The eager Result check in the background surfaces a degraded file on
-	// stderr and /metrics instead of silently serving cold forever.
-	if *warmSetFile != "" {
-		ws := compile.OpenWarmSet(*warmSetFile)
-		srv.AttachWarmSet(ws)
-		go func() {
-			res, err := ws.Result()
-			switch {
-			case err != nil:
-				fmt.Fprintf(os.Stderr, "fastscd: warm set: %v (serving without it)\n", err)
-			case res.Degraded != "":
-				srv.NoteSnapshotDegraded(res.Degraded)
-				fmt.Fprintf(os.Stderr, "fastscd: warm set %s degraded (%s): serving without it\n", *warmSetFile, res.Degraded)
-			case res.Missing:
-				fmt.Fprintf(os.Stderr, "fastscd: warm set %s missing: serving without it\n", *warmSetFile)
-			default:
-				fmt.Fprintf(os.Stderr, "fastscd: warm set: %d entries from %s (read-only tier)\n", ws.Len(), *warmSetFile)
-			}
-		}()
-	}
-
 	// The cache snapshot loads in the background: restoring a large
 	// snapshot can take seconds, and the daemon should accept (cold)
 	// traffic immediately. /readyz reports 503 "restoring" until the load
@@ -140,11 +116,19 @@ func main() {
 
 	// The periodic saver makes the warm start crash-proof: waiting for the
 	// restore first so a slow load cannot be clobbered by an early save of
-	// a still-cold cache.
+	// a still-cold cache. Shutdown stops it and waits for it to exit, so
+	// the final save is the last snapshot written.
 	saverStop := make(chan struct{})
+	var saver sync.WaitGroup
 	if *cacheFile != "" && *snapInterval > 0 {
+		saver.Add(1)
 		go func() {
-			<-restoreDone
+			defer saver.Done()
+			select {
+			case <-restoreDone:
+			case <-saverStop:
+				return
+			}
 			tick := time.NewTicker(*snapInterval)
 			defer tick.Stop()
 			for {
@@ -197,6 +181,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fastscd:", drainErr)
 	}
 	close(saverStop)
+	saver.Wait()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "fastscd: http shutdown:", err)
 	}

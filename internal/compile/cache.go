@@ -1,7 +1,5 @@
 package compile
 
-import "sync/atomic"
-
 // DefaultCacheCapacity is the capacity (in cost units, see entryCost) used
 // when NewCache is given a non-positive capacity. One unit covers a small
 // entry — a slice solution or SMT solve of a few hundred bytes — so
@@ -11,28 +9,27 @@ import "sync/atomic"
 // sheds them at their real weight.
 const DefaultCacheCapacity = 8192
 
-// Stats are the per-tier hit/miss/eviction counters of one cache region.
-// Hits counts lookups served by the in-process shards (tier 1), including
-// those served by another caller's in-flight computation; WarmHits counts
-// lookups that missed locally but were served by the attached read-only
-// warm set (tier 3) and promoted; Misses counts lookups that ran their
+// Stats are the hit/miss/eviction counters of one cache region. Hits
+// counts lookups the cache served, including those served by another
+// caller's in-flight computation; Misses counts lookups that ran their
 // compute function (or shared a failed one, which served no value), and
-// Get calls that found nothing. The counters agree with the tiers
-// DoTiered reports, so they match what a Recorder counts.
+// Get calls that found nothing. The counters agree with the hit flag Do
+// reports, so they match what a Recorder counts.
+//
+// WarmHits is always 0: nothing sets it since the read-only warm tier
+// was removed. It stays only because cmd/fastscbench still reads it.
 type Stats struct {
 	Hits, Misses, Evictions uint64
 	WarmHits                uint64
 }
 
-// HitRate returns (hits + warm hits) / (hits + warm hits + misses), or 0
-// when the region is unused: a warm-set hit spared the compute exactly like
-// a local hit, so it counts toward the rate.
+// HitRate returns hits / (hits + misses), or 0 when the region is unused.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.WarmHits + s.Misses
+	total := s.Hits + s.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.WarmHits) / float64(total)
+	return float64(s.Hits) / float64(total)
 }
 
 // add accumulates counters (used to aggregate regions and shards).
@@ -41,23 +38,8 @@ func (s Stats) add(o Stats) Stats {
 		Hits:      s.Hits + o.Hits,
 		Misses:    s.Misses + o.Misses,
 		Evictions: s.Evictions + o.Evictions,
-		WarmHits:  s.WarmHits + o.WarmHits,
 	}
 }
-
-// Tier identifies which store satisfied a tiered lookup.
-type Tier uint8
-
-const (
-	// TierMiss: no tier had the entry; the caller's compute ran.
-	TierMiss Tier = iota
-	// TierLocal: served by the in-process shards (or by sharing another
-	// caller's in-flight computation through the single-flight group).
-	TierLocal
-	// TierWarm: served by the attached read-only warm set after a local
-	// miss, and promoted into the local shards.
-	TierWarm
-)
 
 // Cache is a concurrency-safe sharded LRU cache shared across compilation
 // jobs. Entries are namespaced by region (e.g. "smt", "slice", "xtalk") so
@@ -81,11 +63,6 @@ type Cache struct {
 	shards []*cacheShard
 	mask   uint64
 	flight flightGroup
-	// warm is the optional read-only warm set (tier 3), probed after a
-	// local miss and before compute. Stored atomically so AttachWarmSet is
-	// safe against concurrent lookups; the WarmSet itself is immutable
-	// after its lazy load.
-	warm atomic.Pointer[WarmSet]
 }
 
 // NewCache returns a cache holding at most ~capacity cost units (~entries,
@@ -140,57 +117,28 @@ func (c *Cache) NumShards() int {
 	return len(c.shards)
 }
 
-// AttachWarmSet attaches a read-only warm set as the cache's third tier:
-// lookups that miss the local shards probe it before computing, and warm
-// hits are promoted into the local shards (and counted as Stats.WarmHits).
-// The warm set is never written. Attaching nil detaches.
-func (c *Cache) AttachWarmSet(w *WarmSet) {
-	c.warm.Store(w)
-}
-
-// WarmSet returns the attached warm set, or nil.
-func (c *Cache) WarmSet() *WarmSet {
-	return c.warm.Load()
-}
-
-// Get looks up key through the tiers (local shards, then the attached
-// warm set), promoting it to most-recently-used — and, on a warm hit, into
-// the local shards — on a hit.
+// Get looks up key, promoting it to most-recently-used on a hit.
 func (c *Cache) Get(region, key string) (any, bool) {
-	v, tier, s := c.getTiered(region, key)
-	if tier == TierMiss {
-		s.count(region, TierMiss)
+	v, ok, s := c.lookup(region, key)
+	if !ok {
+		s.count(region, false)
 	}
-	return v, tier != TierMiss
+	return v, ok
 }
 
-// getTiered is the lookup behind Get and DoTiered: local shards first
-// (tier hit), then the warm set (warm hit, promoted), else a miss. It
-// counts the two hit tiers and returns the key's shard, on which the
-// caller counts a miss: only the caller knows whether its compute ran.
-func (c *Cache) getTiered(region, key string) (any, Tier, *cacheShard) {
+// lookup is the probe behind Get and Do. It counts a hit and returns the
+// key's shard, on which the caller counts a miss: only the caller knows
+// whether its compute ran.
+func (c *Cache) lookup(region, key string) (any, bool, *cacheShard) {
 	nk := namespaced(region, key)
 	s := c.shardFor(nk)
 	s.mu.Lock()
-	if v, ok := s.get(nk); ok {
+	v, ok := s.get(nk)
+	if ok {
 		s.regionStats(region).Hits++
-		s.mu.Unlock()
-		return v, TierLocal, s
 	}
 	s.mu.Unlock()
-	// Local miss: probe the warm set outside the shard lock — warm reads
-	// are lock-free (the set is immutable after load), so a slow lazy load
-	// or a large warm lookup never blocks the shard.
-	if w := c.warm.Load(); w != nil {
-		if v, ok := w.get(region, key); ok {
-			s.mu.Lock()
-			s.regionStats(region).WarmHits++
-			s.put(region, nk, v)
-			s.mu.Unlock()
-			return v, TierWarm, s
-		}
-	}
-	return nil, TierMiss, s
+	return v, ok, s
 }
 
 // peek is a local lookup without accounting, used by the single-flight
@@ -221,31 +169,25 @@ func (c *Cache) Put(region, key string, value any) {
 // with in-flight waiters but never cached — the next caller after a
 // failed flight computes afresh; use a value type that embeds the error
 // (as the SMT memo does) when negative caching is wanted.
-func (c *Cache) Do(region, key string, compute func() (any, error)) (any, error) {
-	v, _, err := c.DoTiered(region, key, compute)
-	return v, err
-}
-
-// DoTiered is Do with tier attribution: it additionally reports which tier
-// satisfied the lookup — TierLocal for a shard hit (or for sharing another
-// caller's in-flight computation), TierWarm for a warm-set hit, TierMiss
-// when this caller's compute ran or the flight it shared failed. The
-// cache's own counters record the same tier. Request-scoped Recorders use
-// the tier to attribute warm-set traffic separately from local hits. A nil
-// cache — the zero Context's — runs compute and reports TierMiss; it is
-// the one place that decides "no cache", and Do and DoTiered are the only
-// methods valid on a nil *Cache.
-func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, Tier, error) {
+//
+// hit reports whether the cache served the value: true for a stored entry
+// or for sharing another caller's in-flight computation, false when this
+// caller's compute ran or the flight it shared failed. The cache's own
+// counters record the same outcome, and request-scoped Recorders count
+// it. A nil cache — the zero Context's — runs compute and reports a miss;
+// it is the one place that decides "no cache", and Do is the only method
+// valid on a nil *Cache.
+func (c *Cache) Do(region, key string, compute func() (any, error)) (value any, hit bool, err error) {
 	if c == nil {
 		v, err := compute()
-		return v, TierMiss, err
+		return v, false, err
 	}
-	v, tier, s := c.getTiered(region, key)
-	if tier != TierMiss {
-		return v, tier, nil
+	v, hit, s := c.lookup(region, key)
+	if hit {
+		return v, true, nil
 	}
 	computed := false
-	v, err := c.flight.do(namespaced(region, key), func() (any, error) {
+	v, err = c.flight.do(namespaced(region, key), func() (any, error) {
 		// Re-check: a previous flight may have stored the value between
 		// this caller's miss and its turn as leader. Without this, a
 		// caller overlapping the tail of a finished flight would compute
@@ -261,15 +203,12 @@ func (c *Cache) DoTiered(region, key string, compute func() (any, error)) (any, 
 		c.Put(region, key, v)
 		return v, nil
 	})
-	tier = TierLocal
-	if computed || err != nil {
-		tier = TierMiss
-	}
-	s.count(region, tier)
+	hit = !computed && err == nil
+	s.count(region, hit)
 	if err != nil {
-		return nil, TierMiss, err
+		return nil, false, err
 	}
-	return v, tier, nil
+	return v, hit, nil
 }
 
 // Len returns the current number of entries across all shards.

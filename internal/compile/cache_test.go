@@ -87,7 +87,7 @@ func TestCacheDoComputesOnceOnHit(t *testing.T) {
 	calls := 0
 	compute := func() (any, error) { calls++; return calls, nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("r", "k", compute)
+		v, _, err := c.Do("r", "k", compute)
 		if err != nil || v.(int) != 1 {
 			t.Fatalf("iteration %d: got %v, %v", i, v, err)
 		}
@@ -102,7 +102,7 @@ func TestCacheDoDoesNotCacheErrors(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		if _, err := c.Do("r", "k", func() (any, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
+		if _, _, err := c.Do("r", "k", func() (any, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
 			t.Fatalf("got err %v", err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCacheDoDoesNotCacheErrors(t *testing.T) {
 
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
-	v, err := c.Do("r", "k", func() (any, error) { return 7, nil })
+	v, _, err := c.Do("r", "k", func() (any, error) { return 7, nil })
 	if err != nil || v.(int) != 7 {
 		t.Fatalf("nil cache Do = %v, %v", v, err)
 	}
@@ -139,7 +139,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 				case 1:
 					c.Get(region, key)
 				default:
-					if _, err := c.Do(region, key, func() (any, error) { return i, nil }); err != nil {
+					if _, _, err := c.Do(region, key, func() (any, error) { return i, nil }); err != nil {
 						t.Error(err)
 						return
 					}
@@ -205,7 +205,7 @@ func TestCacheDoSingleFlight(t *testing.T) {
 			defer done.Done()
 			ready.Done()
 			<-start
-			v, err := c.Do("r", "k", func() (any, error) {
+			v, _, err := c.Do("r", "k", func() (any, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the dedup window
 				return 42, nil
@@ -240,7 +240,7 @@ func TestCacheDoSingleFlightSharesErrors(t *testing.T) {
 			defer done.Done()
 			ready.Done()
 			<-start
-			if _, err := c.Do("r", "k", func() (any, error) {
+			if _, _, err := c.Do("r", "k", func() (any, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond)
 				return nil, boom
@@ -255,7 +255,7 @@ func TestCacheDoSingleFlightSharesErrors(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("failing compute ran %d times concurrently, want 1", n)
 	}
-	if _, err := c.Do("r", "k", func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := c.Do("r", "k", func() (any, error) { return 1, nil }); err != nil {
 		t.Fatalf("error was cached: %v", err)
 	}
 }

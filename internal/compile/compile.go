@@ -36,28 +36,16 @@
 //
 // The solver-result regions (SMT solves, static palettes, parking
 // assignments, slice solutions — see PersistRegions) snapshot to disk via
-// Cache.Save/Load as a versioned gob stream; both CLIs expose it as
-// -cache-file, so repeated sweeps start warm. Crosstalk graphs, routed
-// circuits and circuit analyses stay process-local: they rebuild about as
-// fast as they would decode. A missing, corrupt or unmigratable snapshot
-// degrades to a cold cache rather than an error (LoadSnapshot reports the
-// reason), snapshots carry KeyVersion so keys from an older key scheme
-// can never satisfy a current lookup, and a snapshot exactly one key
-// version behind is re-keyed on load via the migration table in
-// migrate.go. Cache keys are exact encodings (not hashes) of their inputs
-// wherever collision would change compilation output: SliceKey encodes
-// the full sorted active-vertex set.
-//
-// # Cache v3: the tiered warm set
-//
-// A Cache can additionally attach a read-only warm set (OpenWarmSet +
-// AttachWarmSet): a shared snapshot probed lock-free after a local-shard
-// miss and before compute, with hits promoted into the local shards and
-// counted per region as Stats.WarmHits. The warm set file is never
-// written, so one snapshot on shared storage warm-starts any number of
-// processes; all three binaries expose it as -warm-set. See
-// docs/architecture.md, "Tiered cache & migration", for the tier order,
-// the re-key version table and the degradation contract.
+// Cache.Save/Load as a versioned gob stream; both CLIs and fastscd expose
+// it as -cache-file, so repeated sweeps start warm. Crosstalk graphs,
+// routed circuits and circuit analyses stay process-local: they rebuild
+// about as fast as they would decode. A missing, corrupt or other-version
+// snapshot degrades to a cold cache rather than an error (LoadSnapshot
+// reports the reason), and snapshots carry KeyVersion so keys from another
+// key scheme can never satisfy a current lookup. Cache keys are exact
+// encodings (not hashes) of their inputs wherever collision would change
+// compilation output: SliceKey encodes the full sorted active-vertex set.
+// See docs/architecture.md, "Snapshots & degradation".
 package compile
 
 import "runtime"

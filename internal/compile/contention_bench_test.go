@@ -58,7 +58,7 @@ func BenchmarkCacheDoSingleFlight(b *testing.B) {
 	b.SetParallelism(8)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := c.Do(RegionSlice, "k", func() (any, error) { return 1, nil }); err != nil {
+			if _, _, err := c.Do(RegionSlice, "k", func() (any, error) { return 1, nil }); err != nil {
 				b.Error(err)
 				return
 			}

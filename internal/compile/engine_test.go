@@ -239,9 +239,10 @@ func TestBatchSharedCacheUnderRace(t *testing.T) {
 		jobs[i] = Job{
 			Key: fmt.Sprintf("j%d", i),
 			Run: func(c *Context) (any, error) {
-				return c.Cache.Do("shared", fmt.Sprintf("k%d", i%4), func() (any, error) {
+				v, _, err := c.Cache.Do("shared", fmt.Sprintf("k%d", i%4), func() (any, error) {
 					return i % 4, nil
 				})
+				return v, err
 			},
 		}
 	}

@@ -65,13 +65,12 @@ const (
 // per-component solutions under SliceComponentKey (a distinct "c"-tagged
 // shape that can never alias a whole-slice key), so snapshots written
 // before the decomposition are rejected wholesale. v6 accompanies the
-// tiered warm-cache subsystem: snapshots from the previous key generation
-// are no longer rejected wholesale — Load re-keys them through the
-// registered migration step (see migrate.go) instead. Component keys are
-// no longer written since the slice solver went back to solving each
-// missed slice whole, and route and circ entries are no longer persisted;
-// no key changed, so the version stays 6, and those entries in older v6
-// snapshots are ignored on load.
+// persisted route and circ regions; the key schemas did not change. Since
+// then component keys are no longer written (the slice solver went back
+// to solving each missed slice whole) and route and circ entries are no
+// longer persisted; again no key changed, so the version stays 6, and
+// those entries in older v6 snapshots are ignored on load. A snapshot of
+// any other key version loads cold.
 const KeyVersion = 6
 
 type hasher struct{ h uint64 }

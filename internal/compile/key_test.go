@@ -151,8 +151,8 @@ func TestKeySchemaDrift(t *testing.T) {
 
 	// The snapshot codec struct is pinned for a different failure mode:
 	// it is an on-disk gob shape, so a field added to it without a
-	// SnapshotVersion bump and a migration entry in migrate.go would
-	// silently change the format rather than alias a key.
+	// SnapshotVersion bump would silently change the format rather than
+	// alias a key.
 	assertExactFields(t, reflect.TypeOf(diskSnapshot{}), "the snapshot codec (Save/Load)",
 		"Magic", "Version", "KeyVersion", "SMT", "Park", "Slice", "Static")
 }

@@ -19,13 +19,13 @@ type smtResult struct {
 	err   error
 }
 
-// memo is the one lookup path behind every memo method: Cache.DoTiered
-// serves (region, key) from the cache's tiers or runs compute — directly,
-// with no cache to consult, on a Context whose Cache is nil — and the
-// serving tier is attributed to the request's Recorder, if any.
+// memo is the one lookup path behind every memo method: Cache.Do serves
+// (region, key) from the cache or runs compute — directly, with no cache
+// to consult, on a Context whose Cache is nil — and the hit or miss is
+// attributed to the request's Recorder, if any.
 func (c *Context) memo(region, key string, compute func() (any, error)) (any, error) {
-	v, tier, err := c.Cache.DoTiered(region, key, compute)
-	c.Record.recordTier(region, tier)
+	v, hit, err := c.Cache.Do(region, key, compute)
+	c.Record.record(region, hit)
 	return v, err
 }
 

@@ -103,7 +103,7 @@ func TestComponentDecompositionMatchesMonolith(t *testing.T) {
 		if err != nil {
 			t.Fatalf("zero Context maxColors=%d: %v", maxColors, err)
 		}
-		if tot, slice := ref.Record.Total(), ref.Record.StatsByRegion()[compile.RegionSlice]; tot.Hits != 0 || tot.WarmHits != 0 || slice.Misses == 0 {
+		if tot, slice := ref.Record.Total(), ref.Record.StatsByRegion()[compile.RegionSlice]; tot.Hits != 0 || slice.Misses == 0 {
 			t.Fatalf("maxColors=%d: reference consulted a memo: total %+v, slice %+v", maxColors, tot, slice)
 		}
 		got, err := schedule.ColorDynamic{}.Compile(compile.NewContext(4), c, sys, opts)

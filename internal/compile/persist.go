@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -16,11 +17,8 @@ import (
 )
 
 // SnapshotVersion is the on-disk snapshot format version. A snapshot
-// written at an older version is migrated forward on load, one registered
-// step at a time (see migrate.go); a version with no registered migration
-// path — or a future version — degrades to a cold start. Stale keys are
-// never read back verbatim: every migration step re-keys and re-validates
-// the entries it carries forward.
+// written at any other version — older or newer — degrades to a cold
+// start (DegradedVersionSkew), so stale keys are never read back.
 //
 // History: v3 switched the cached value shapes to the flat-core
 // representation (parking assignments and color→frequency maps became
@@ -32,14 +30,13 @@ import (
 // slice region now holds two value shapes — whole-slice SliceSolution
 // and per-component ComponentSolution — persisted in separate snapshot
 // sections so each decodes with its concrete type. v6 accompanies the
-// tiered warm-cache subsystem (KeyVersion 6), and v5 snapshots are the
-// first to migrate forward (slice keys re-keyed v5|→v6|) instead of being
-// dropped. Two sections have since stopped being written, each with no
-// version bump because gob skips a field the reader lacks: the
-// per-component slice section (the slice solver no longer decomposes
-// slices), and the circuit pool with its route and circ sections (routing
-// and analysis recompute faster than they decode). A v6 snapshot written
-// before either change still loads, minus those entries.
+// persisted route and circ regions (KeyVersion 6). Two sections have
+// since stopped being written, each with no version bump because gob
+// skips a field the reader lacks: the per-component slice section (the
+// slice solver no longer decomposes slices), and the circuit pool with
+// its route and circ sections (routing and analysis recompute faster than
+// they decode). A v6 snapshot written before either change still loads,
+// minus those entries.
 const SnapshotVersion = 6
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or a
@@ -72,8 +69,8 @@ func RegisterSnapshotType(v any) { gob.Register(v) }
 // decode in one pass; Static carries individually encoded blobs because
 // its values are opaque to this package and one unregistered type must
 // cost one entry, not the snapshot. The field set is pinned by the
-// keyfields analyzer (this struct is an on-disk codec: adding a field
-// without considering migration is a format change).
+// keyfields analyzer (this struct is an on-disk codec: adding a field is
+// a format change).
 type diskSnapshot struct {
 	Magic      string
 	Version    int
@@ -197,12 +194,25 @@ func (c *Cache) Save(path string) error {
 	if err := faultpoint.Err(faultpoint.SnapshotSaveErr); err != nil {
 		return fmt.Errorf("compile: write cache snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, faultpoint.Corrupt(faultpoint.SnapshotSaveCorrupt, buf.Bytes()), 0o644); err != nil {
+	// A temp file of its own per call: concurrent Saves to one path must
+	// not rename each other's file away. The last rename wins, and every
+	// rename installs a complete snapshot.
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return fmt.Errorf("compile: write cache snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(faultpoint.Corrupt(faultpoint.SnapshotSaveCorrupt, buf.Bytes()))
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return fmt.Errorf("compile: write cache snapshot: %w", err)
 	}
 	return nil
@@ -218,141 +228,91 @@ const (
 	// DegradedBadMagic: a well-formed gob stream that is not a cache
 	// snapshot.
 	DegradedBadMagic = "bad-magic"
-	// DegradedFutureVersion: written by a newer binary; this one cannot
-	// know how to read it.
-	DegradedFutureVersion = "future-version"
-	// DegradedNoMigration: an old version with no registered migration
-	// path to the current format.
-	DegradedNoMigration = "no-migration-path"
-	// DegradedKeySkew: the snapshot (after any migrations) still carries a
-	// key generation this binary does not use — its keys could never hit.
-	DegradedKeySkew = "key-version-skew"
+	// DegradedVersionSkew: written at another SnapshotVersion or
+	// KeyVersion, older or newer; its keys could never hit.
+	DegradedVersionSkew = "version-skew"
 )
 
-// LoadResult describes one snapshot load: how many entries were restored,
-// how many passed through a re-key migration, which on-disk version the
-// file carried, and — when the cache stayed cold — whether that was by
-// choice (Missing: no file) or by degradation (Degraded: a reason
-// constant). Operators use the distinction to tell "first boot" from
-// "corrupt snapshot silently discarded".
+// LoadResult describes one snapshot load: how many entries were restored
+// and, when a snapshot file was present but left the cache cold, why
+// (Degraded: a reason constant). A missing file restores nothing and
+// reports no reason, so operators can tell "first boot" from "corrupt
+// snapshot silently discarded".
 type LoadResult struct {
-	Restored    int
-	Migrated    int
-	FromVersion int
-	Missing     bool
-	Degraded    string
+	Restored int
+	Degraded string
 }
 
-// decodeSnapshot sniffs, decompresses, decodes and migrates one snapshot
-// payload. On success the returned snapshot is at the current
-// SnapshotVersion/KeyVersion; on degradation it is nil and the result
-// carries the reason.
-func decodeSnapshot(data []byte) (*diskSnapshot, LoadResult) {
-	var res LoadResult
+// decodeSnapshot sniffs, decompresses and decodes one snapshot payload.
+// On success the returned snapshot is at the current
+// SnapshotVersion/KeyVersion; on degradation it is nil and the reason says
+// why.
+func decodeSnapshot(data []byte) (*diskSnapshot, string) {
 	var src io.Reader = bytes.NewReader(data)
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b { // gzip magic
 		gz, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
-			res.Degraded = DegradedCorrupt
-			return nil, res
+			return nil, DegradedCorrupt
 		}
 		defer gz.Close()
 		src = gz
 	}
 	var snap diskSnapshot
 	if err := gob.NewDecoder(src).Decode(&snap); err != nil {
-		res.Degraded = DegradedCorrupt
-		return nil, res
+		return nil, DegradedCorrupt
 	}
 	if snap.Magic != snapshotMagic {
-		res.Degraded = DegradedBadMagic
-		return nil, res
+		return nil, DegradedBadMagic
 	}
-	res.FromVersion = snap.Version
-	if snap.Version > SnapshotVersion {
-		res.Degraded = DegradedFutureVersion
-		return nil, res
+	if snap.Version != SnapshotVersion || snap.KeyVersion != KeyVersion {
+		return nil, DegradedVersionSkew
 	}
-	for snap.Version < SnapshotVersion {
-		step, ok := snapshotMigrations[snap.Version]
-		if !ok {
-			res.Degraded = DegradedNoMigration
-			return nil, res
-		}
-		res.Migrated += step(&snap)
-	}
-	if snap.KeyVersion != KeyVersion {
-		res.Degraded = DegradedKeySkew
-		return nil, res
-	}
-	return &snap, res
+	return &snap, ""
 }
 
-// restore walks every entry of a decoded snapshot, decoding the static
-// blobs, and hands each to put. It returns the number of entries
-// restored; undecodable entries are skipped.
-func (snap *diskSnapshot) restore(put func(region, key string, value any)) int {
-	restored := 0
+// LoadSnapshot restores a snapshot written by Save into the cache.
+// Compressed snapshots are detected by their gzip magic bytes, not their
+// name, so a ".gz" snapshot renamed plain (or vice versa) still loads.
+// Degradation is deliberate and never fatal: a missing file, a corrupt or
+// truncated snapshot, a snapshot of another version, or an undecodable
+// entry all leave the cache cold (or partially warm), with the reason for
+// a discarded file in LoadResult.Degraded — a compilation must never fail
+// because its warm start did. The returned error is non-nil only for
+// genuine I/O failures on an existing file.
+func (c *Cache) LoadSnapshot(path string) (LoadResult, error) {
+	var res LoadResult
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return res, nil
+	}
+	if err != nil {
+		return res, fmt.Errorf("compile: read cache snapshot: %w", err)
+	}
+	snap, reason := decodeSnapshot(data)
+	if snap == nil {
+		res.Degraded = reason
+		return res, nil
+	}
 	for k, p := range snap.SMT {
-		put(RegionSMT, k, fromPersistedSMT(p))
-		restored++
+		c.Put(RegionSMT, k, fromPersistedSMT(p))
+		res.Restored++
 	}
 	for k, v := range snap.Park {
-		put(RegionParking, k, v)
-		restored++
+		c.Put(RegionParking, k, v)
+		res.Restored++
 	}
 	for k, v := range snap.Slice {
-		put(RegionSlice, k, v)
-		restored++
+		c.Put(RegionSlice, k, v)
+		res.Restored++
 	}
 	for _, ent := range snap.Static {
 		var v any
 		if err := gob.NewDecoder(bytes.NewReader(ent.Blob)).Decode(&v); err != nil {
 			continue
 		}
-		put(RegionStatic, ent.Key, v)
-		restored++
+		c.Put(RegionStatic, ent.Key, v)
+		res.Restored++
 	}
-	return restored
-}
-
-// readSnapshot reads and decodes path. A missing file is a clean cold
-// start (Missing set, no error); only genuine I/O failures on an existing
-// file return an error.
-func readSnapshot(path string) (*diskSnapshot, LoadResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		var res LoadResult
-		if os.IsNotExist(err) {
-			res.Missing = true
-			return nil, res, nil
-		}
-		return nil, res, fmt.Errorf("compile: read cache snapshot: %w", err)
-	}
-	snap, res := decodeSnapshot(data)
-	return snap, res, nil
-}
-
-// LoadSnapshot restores a snapshot written by Save into the cache.
-// Compressed snapshots are detected by their gzip magic bytes, not their
-// name, so a ".gz" snapshot renamed plain (or vice versa) still loads.
-// Snapshots written at an older version are migrated forward — re-keyed
-// and re-validated — by the registered per-version steps, so a KeyVersion
-// bump degrades to a partial warm start instead of a cold one.
-// Degradation is deliberate and never fatal: a missing file, a corrupt or
-// truncated snapshot, an unknown version, or an undecodable entry all
-// leave the cache cold (or partially warm) with the reason in
-// LoadResult.Degraded — a compilation must never fail because its warm
-// start did. The returned error is non-nil only for genuine I/O failures
-// on an existing file.
-func (c *Cache) LoadSnapshot(path string) (LoadResult, error) {
-	snap, res, err := readSnapshot(path)
-	if snap == nil || err != nil {
-		return res, err
-	}
-	res.Restored = snap.restore(func(region, key string, value any) {
-		c.Put(region, key, value)
-	})
 	return res, nil
 }
 

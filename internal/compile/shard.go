@@ -63,7 +63,7 @@ func (s *cacheShard) regionStats(region string) *Stats {
 }
 
 // get looks up nk, promoting it on a hit. It leaves the counters alone:
-// the Cache counts each lookup once it knows which tier served it.
+// the Cache counts each lookup once it knows whether its compute ran.
 func (s *cacheShard) get(nk string) (any, bool) {
 	el, ok := s.items[nk]
 	if !ok {
@@ -73,15 +73,14 @@ func (s *cacheShard) get(nk string) (any, bool) {
 	return el.Value.(*cacheEntry).value, true
 }
 
-// count locks the shard and adds one lookup served by tier to region's
-// counters: a local hit or a miss (warm hits are counted where they are
-// promoted).
-func (s *cacheShard) count(region string, tier Tier) {
+// count locks the shard and adds one lookup to region's counters: a hit
+// or a miss.
+func (s *cacheShard) count(region string, hit bool) {
 	s.mu.Lock()
-	if tier == TierMiss {
-		s.regionStats(region).Misses++
-	} else {
+	if hit {
 		s.regionStats(region).Hits++
+	} else {
+		s.regionStats(region).Misses++
 	}
 	s.mu.Unlock()
 }

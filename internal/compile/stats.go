@@ -29,21 +29,16 @@ func NewRecorder() *Recorder {
 	return &Recorder{regions: make(map[string]Stats)}
 }
 
-// recordTier counts one tiered lookup against region: local hits, warm-set
-// hits and misses are attributed separately (Stats.HitRate folds warm hits
-// into the rate, since they spared the compute).
-func (r *Recorder) recordTier(region string, tier Tier) {
+// record counts one lookup against region: a hit or a miss.
+func (r *Recorder) record(region string, hit bool) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	s := r.regions[region]
-	switch tier {
-	case TierLocal:
+	if hit {
 		s.Hits++
-	case TierWarm:
-		s.WarmHits++
-	default:
+	} else {
 		s.Misses++
 	}
 	r.regions[region] = s

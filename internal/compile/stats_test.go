@@ -68,11 +68,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tier := TierMiss
-				if j%2 == 0 {
-					tier = TierLocal
-				}
-				rec.recordTier(RegionSMT, tier)
+				rec.record(RegionSMT, j%2 == 0)
 			}
 		}()
 	}

@@ -68,9 +68,8 @@ var DefaultKeySchema = map[string]KeySchema{
 	},
 	// The snapshot codec struct is pinned for a different failure mode
 	// than the key structs above: it is an on-disk gob shape, so a field
-	// added to it without considering migration (a SnapshotVersion bump
-	// and a migration entry) would silently change the format rather than
-	// alias a key.
+	// added to it without a SnapshotVersion bump would silently change
+	// the format rather than alias a key.
 	"fastsc/internal/compile.diskSnapshot": {
 		KeyFunc: "the snapshot codec (compile.Save/Load)",
 		Fields:  []string{"Magic", "Version", "KeyVersion", "SMT", "Park", "Slice", "Static"},

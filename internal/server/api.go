@@ -144,19 +144,16 @@ type DoneLine struct {
 // this request actually performed — a lookup served by another request's
 // in-flight computation records a hit (see compile.Recorder).
 type CacheReport struct {
-	Hits     uint64                 `json:"hits"`
-	WarmHits uint64                 `json:"warm_hits,omitempty"`
-	Misses   uint64                 `json:"misses"`
-	HitRate  float64                `json:"hit_rate"`
-	Regions  map[string]RegionStats `json:"regions"`
+	Hits    uint64                 `json:"hits"`
+	Misses  uint64                 `json:"misses"`
+	HitRate float64                `json:"hit_rate"`
+	Regions map[string]RegionStats `json:"regions"`
 }
 
-// RegionStats is one cache region's request-scoped counters. WarmHits
-// counts lookups served by the attached read-only warm set (tier 3).
+// RegionStats is one cache region's request-scoped counters.
 type RegionStats struct {
-	Hits     uint64 `json:"hits"`
-	WarmHits uint64 `json:"warm_hits,omitempty"`
-	Misses   uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 }
 
 // SubmitResponse acknowledges an async POST /v1/batches submission.
@@ -448,14 +445,13 @@ func toCacheReport(rec *compile.Recorder) *CacheReport {
 	regions := rec.StatsByRegion()
 	total := rec.Total()
 	rep := &CacheReport{
-		Hits:     total.Hits,
-		WarmHits: total.WarmHits,
-		Misses:   total.Misses,
-		HitRate:  total.HitRate(),
-		Regions:  make(map[string]RegionStats, len(regions)),
+		Hits:    total.Hits,
+		Misses:  total.Misses,
+		HitRate: total.HitRate(),
+		Regions: make(map[string]RegionStats, len(regions)),
 	}
 	for name, st := range regions {
-		rep.Regions[name] = RegionStats{Hits: st.Hits, WarmHits: st.WarmHits, Misses: st.Misses}
+		rep.Regions[name] = RegionStats{Hits: st.Hits, Misses: st.Misses}
 	}
 	return rep
 }

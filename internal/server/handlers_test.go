@@ -562,7 +562,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fastscd_cache_misses_total{region="slice"}`,
 		"fastscd_snapshot_restored_entries 17",
 		`fastscd_snapshot_degraded_total{reason="corrupt"} 2`,
-		`fastscd_cache_warm_hits_total{region="smt"}`,
 		`fastscd_requests_total{endpoint="compile"} 2`,
 		"fastscd_batches_done_total 2",
 		"fastscd_jobs_total 2",

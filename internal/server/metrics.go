@@ -33,10 +33,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, region := range regions {
 		fmt.Fprintf(&b, "fastscd_cache_hits_total{region=%q} %d\n", region, stats[region].Hits)
 	}
-	writeHelp("fastscd_cache_warm_hits_total", "Memoized lookups served by the read-only warm set (and promoted), by region.", "counter")
-	for _, region := range regions {
-		fmt.Fprintf(&b, "fastscd_cache_warm_hits_total{region=%q} %d\n", region, stats[region].WarmHits)
-	}
 	writeHelp("fastscd_cache_misses_total", "Memoized lookups that ran their compute function, by region.", "counter")
 	for _, region := range regions {
 		fmt.Fprintf(&b, "fastscd_cache_misses_total{region=%q} %d\n", region, stats[region].Misses)
@@ -55,14 +51,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			reasons = append(reasons, reason)
 		}
 		sort.Strings(reasons)
-		writeHelp("fastscd_snapshot_degraded_total", "Snapshot or warm-set loads that degraded to a cold start, by reason.", "counter")
+		writeHelp("fastscd_snapshot_degraded_total", "Snapshot loads that degraded to a cold start, by reason.", "counter")
 		for _, reason := range reasons {
 			fmt.Fprintf(&b, "fastscd_snapshot_degraded_total{reason=%q} %d\n", reason, degraded[reason])
 		}
-	}
-	if ws := s.base.Cache.WarmSet(); ws != nil {
-		writeHelp("fastscd_warmset_entries", "Entries resident in the attached read-only warm set.", "gauge")
-		fmt.Fprintf(&b, "fastscd_warmset_entries %d\n", ws.Len())
 	}
 
 	writeHelp("fastscd_requests_total", "HTTP requests accepted for decoding, by endpoint.", "counter")

@@ -92,9 +92,9 @@ type Server struct {
 	restoring atomic.Bool // background snapshot restore in progress
 
 	snapshotRestored atomic.Int64
-	// degraded counts snapshot loads (local or warm-set) that fell back to
-	// cold, by compile.LoadResult.Degraded reason — the "silent degrade"
-	// signal exported as fastscd_snapshot_degraded_total{reason=...}.
+	// degraded counts snapshot loads that fell back to cold, by
+	// compile.LoadResult.Degraded reason — the "silent degrade" signal
+	// exported as fastscd_snapshot_degraded_total{reason=...}.
 	degradedMu     sync.Mutex
 	degradedTotals map[string]int64
 	mStreams       atomic.Int64
@@ -147,10 +147,10 @@ func (s *Server) Cache() *compile.Cache { return s.base.Cache }
 // startup, exported as fastscd_snapshot_restored_entries.
 func (s *Server) SetRestored(n int) { s.snapshotRestored.Store(int64(n)) }
 
-// NoteSnapshotDegraded records one snapshot load (local cache file or
-// warm set) that degraded to cold, by reason (a compile.Degraded*
-// constant). Exported as fastscd_snapshot_degraded_total{reason=...} so a
-// fleet silently serving cold from a truncated snapshot is visible.
+// NoteSnapshotDegraded records one snapshot load that degraded to cold,
+// by reason (a compile.Degraded* constant). Exported as
+// fastscd_snapshot_degraded_total{reason=...} so a daemon silently serving
+// cold from a truncated snapshot is visible.
 func (s *Server) NoteSnapshotDegraded(reason string) {
 	if reason == "" {
 		return
@@ -170,11 +170,6 @@ func (s *Server) snapshotDegraded() map[string]int64 {
 	}
 	return out
 }
-
-// AttachWarmSet attaches a read-only shared warm set as the compile
-// cache's third tier (see compile.Cache.AttachWarmSet); warm-set traffic
-// shows up as fastscd_cache_warm_hits_total and the warmset gauges.
-func (s *Server) AttachWarmSet(w *compile.WarmSet) { s.base.Cache.AttachWarmSet(w) }
 
 // SetRestoring flags that a background snapshot restore is in progress.
 // While set, /readyz reports 503 (the instance serves but is not warm);

@@ -233,40 +233,4 @@ kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
 
-echo "== warm-set-only daemon must serve from the read-only tier"
-"$WORKDIR/fastscd" -addr ":$PORT" -warm-set "$SNAP" >"$WORKDIR/warmset-daemon.log" 2>&1 &
-DAEMON_PID=$!
-wait_ready
-curl -fsS -N "$BASE/v1/compile" -d @"$REQ" > "$WORKDIR/warmset.ndjson"
-python3 - "$WORKDIR/warmset.ndjson" <<'PYEOF'
-import json, sys
-lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
-done = [l for l in lines if l["type"] == "done"][0]
-assert done["failed"] == 0, done
-cache = done["cache"]
-warm = cache.get("warm_hits", 0)
-assert warm > 0, f"warm-set-only batch reported no warm hits: {cache}"
-rate = cache["hit_rate"]
-assert rate > 0.8, f"warm-set-only hit rate {rate} is not > 0.8"
-print(f"warm-set-only: {warm} warm hits, hit rate {rate:.3f}")
-PYEOF
-curl -fsS "$BASE/metrics" > "$WORKDIR/metrics-warmset.txt"
-python3 - "$WORKDIR/metrics-warmset.txt" <<'PYEOF'
-import sys
-warm = 0
-entries = None
-for line in open(sys.argv[1]):
-    if line.startswith("fastscd_cache_warm_hits_total{"):
-        warm += int(float(line.split()[-1]))
-    elif line.startswith("fastscd_warmset_entries "):
-        entries = int(float(line.split()[-1]))
-assert warm > 0, "no warm-set hits exported on /metrics"
-assert entries and entries > 0, f"fastscd_warmset_entries = {entries}, want > 0"
-print(f"metrics: {warm} warm-set hits, {entries} warm-set entries")
-PYEOF
-
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-
 echo "daemon-smoke: PASS"
