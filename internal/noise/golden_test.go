@@ -1,8 +1,11 @@
 package noise_test
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,7 +23,7 @@ import (
 	"fastsc/internal/topology"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/report.golden from the current evaluator")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current compilers and evaluator")
 
 // goldenRow renders every Report field: the floats at %.17g, which
 // round-trips a float64 exactly, so the golden pins them bit for bit.
@@ -88,29 +91,25 @@ func deepCircuit(sys *phys.System, gates int, seed int64) *circuit.Circuit {
 	return c
 }
 
-// goldenRows evaluates the pinned job set: the Fig 9 suite under three
-// noise settings, then a device × crosstalk-distance × gmon-residual
-// sweep over every strategy, including the ColorDynamic-G extension, then
-// deep 100-qubit circuits through both dynamic strategies at every color
-// budget (1, 2, 3 and unlimited), where deferral decisions are most
-// sensitive to how each slice is colored.
-func goldenRows(t *testing.T) []string {
-	ctx := compile.NewContext(1)
-	var rows []string
+// goldenJob is one schedule of the pinned job set.
+type goldenJob struct {
+	key   string
+	sched *schedule.Schedule
+	// fig9 marks the Fig 9 jobs, which the report golden evaluates under
+	// every noise variant.
+	fig9 bool
+}
 
-	noDefault := noise.DefaultOptions()
-	noAmbient := noDefault
-	noAmbient.DisableAmbient = true
-	noFlux := noDefault
-	noFlux.FluxNoiseSigma = 0
-	variants := []struct {
-		name string
-		opt  noise.Options
-	}{{"default", noDefault}, {"no-ambient", noAmbient}, {"no-flux", noFlux}}
+// goldenJobs compiles the pinned job set: the Fig 9 suite, then a device ×
+// crosstalk-distance × gmon-residual sweep over every strategy, including
+// the ColorDynamic-G extension, then deep 100-qubit circuits through both
+// dynamic strategies at every color budget (1, 2, 3 and unlimited), where
+// deferral decisions are most sensitive to how each slice is colored.
+func goldenJobs(t *testing.T) []goldenJob {
+	ctx := compile.NewContext(1)
+	var jobs []goldenJob
 	for _, job := range fig9Schedules(t, ctx) {
-		for _, v := range variants {
-			rows = append(rows, goldenRow("fig9/"+job.key+"/"+v.name, noise.Evaluate(job.sched, v.opt)))
-		}
+		jobs = append(jobs, goldenJob{key: "fig9/" + job.key, sched: job.sched, fig9: true})
 	}
 
 	devices := []*topology.Device{
@@ -141,7 +140,7 @@ func goldenRows(t *testing.T) []string {
 						strategy := comp.Name()
 						s := goldenSchedule(t, ctx, cc.c, sys, strategy, cfg)
 						key := fmt.Sprintf("%s/%s/d=%d/r=%g/%s", dev.Name, cc.name, d, r, strategy)
-						rows = append(rows, goldenRow(key, noise.Evaluate(s, noDefault)))
+						jobs = append(jobs, goldenJob{key: key, sched: s})
 					}
 				}
 			}
@@ -156,23 +155,42 @@ func goldenRows(t *testing.T) []string {
 				cfg := core.Config{Schedule: schedule.Options{MaxColors: maxColors}}
 				s := goldenSchedule(t, ctx, c, deep, strategy, cfg)
 				key := fmt.Sprintf("deep(100,3000)/seed=%d/%s/maxColors=%d", seed, strategy, maxColors)
-				rows = append(rows, goldenRow(key, noise.Evaluate(s, noDefault)))
+				jobs = append(jobs, goldenJob{key: key, sched: s})
 			}
+		}
+	}
+	return jobs
+}
+
+// goldenRows evaluates the pinned job set: the Fig 9 jobs under three
+// noise settings, every other job under the default ones.
+func goldenRows(t *testing.T) []string {
+	noDefault := noise.DefaultOptions()
+	noAmbient := noDefault
+	noAmbient.DisableAmbient = true
+	noFlux := noDefault
+	noFlux.FluxNoiseSigma = 0
+	variants := []struct {
+		name string
+		opt  noise.Options
+	}{{"default", noDefault}, {"no-ambient", noAmbient}, {"no-flux", noFlux}}
+	var rows []string
+	for _, job := range goldenJobs(t) {
+		if !job.fig9 {
+			rows = append(rows, goldenRow(job.key, noise.Evaluate(job.sched, noDefault)))
+			continue
+		}
+		for _, v := range variants {
+			rows = append(rows, goldenRow(job.key+"/"+v.name, noise.Evaluate(job.sched, v.opt)))
 		}
 	}
 	return rows
 }
 
-// TestReportGolden pins every Report field the evaluator produces, bit for
-// bit, over a few hundred schedules: the Fig 9 suite with default,
-// ambient-free and flux-free noise options, and a sweep over grid, linear,
-// ring and express-cube devices at crosstalk distance 1 and 2 with and
-// without gmon residual coupling. With -update it rewrites the golden
-// instead; the file is only ever regenerated deliberately, because any
-// changed row is a changed experiment table.
-func TestReportGolden(t *testing.T) {
-	rows := goldenRows(t)
-	path := filepath.Join("testdata", "report.golden")
+// checkGolden compares rows with the golden file at path line by line, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path string, rows []string) {
+	t.Helper()
 	if *update {
 		if err := os.WriteFile(path, []byte(strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -199,4 +217,81 @@ func TestReportGolden(t *testing.T) {
 	if bad > 0 {
 		t.Fatalf("%d of %d rows differ from %s", bad, len(rows), path)
 	}
+}
+
+// TestReportGolden pins every Report field the evaluator produces, bit for
+// bit, over a few hundred schedules: the Fig 9 suite with default,
+// ambient-free and flux-free noise options, and a sweep over grid, linear,
+// ring and express-cube devices at crosstalk distance 1 and 2 with and
+// without gmon residual coupling. With -update it rewrites the golden
+// instead; the file is only ever regenerated deliberately, because any
+// changed row is a changed experiment table.
+func TestReportGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "report.golden"), goldenRows(t))
+}
+
+// scheduleDigest hashes a schedule with FNV-64a: per slice its start,
+// duration, color count, delta, qubit frequencies and active couplers;
+// per gate its kind, operands, duration, frequency and color; and the
+// schedule's total time, largest color count, compiled depth and parking
+// frequencies. Floats enter through math.Float64bits and every list
+// through its length first, so two schedules share a digest only if
+// those fields agree bit for bit.
+func scheduleDigest(s *schedule.Schedule) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	num := func(x int) { word(uint64(int64(x))) }
+	float := func(x float64) { word(math.Float64bits(x)) }
+	floats := func(xs []float64) {
+		num(len(xs))
+		for _, x := range xs {
+			float(x)
+		}
+	}
+	num(len(s.Slices))
+	for _, sl := range s.Slices {
+		float(sl.Start)
+		float(sl.Duration)
+		num(sl.Colors)
+		float(sl.Delta)
+		floats(sl.Freqs)
+		num(len(sl.ActiveCouplers))
+		for _, e := range sl.ActiveCouplers {
+			num(e.U)
+			num(e.V)
+		}
+		num(len(sl.Gates))
+		for _, ev := range sl.Gates {
+			num(int(ev.Gate.Kind))
+			num(len(ev.Gate.Qubits))
+			for _, q := range ev.Gate.Qubits {
+				num(q)
+			}
+			float(ev.Duration)
+			float(ev.Freq)
+			num(ev.Color)
+		}
+	}
+	float(s.TotalTime)
+	num(s.MaxColorsUsed)
+	num(s.CompiledDepth)
+	floats(s.ParkingFreqs)
+	return h.Sum64()
+}
+
+// TestScheduleGolden pins the schedules behind TestReportGolden's rows bit
+// for bit, including the fields no Report reads (slice colors and delta,
+// gate colors, the largest color count), so a change to a strategy cannot
+// alter its output unseen. One row per job: its key and scheduleDigest.
+// -update rewrites the golden.
+func TestScheduleGolden(t *testing.T) {
+	var rows []string
+	for _, job := range goldenJobs(t) {
+		rows = append(rows, fmt.Sprintf("%s\t%016x", job.key, scheduleDigest(job.sched)))
+	}
+	checkGolden(t, filepath.Join("testdata", "schedule.golden"), rows)
 }
