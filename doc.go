@@ -81,8 +81,9 @@
 // internal/xtalk builds the distance-d crosstalk graph by bounded BFS from
 // each coupler's endpoints — O(couplers · reach(d)) instead of the old
 // all-pairs O(couplers²) probe — and internal/schedule compiles slices
-// against reusable sync.Pool scratch buffers, so the cold (cache-miss)
-// path allocates only what the finished Schedule retains.
+// against buffers each compile allocates once and reuses from slice to
+// slice, so the cold (cache-miss) path allocates per slice only what the
+// finished Schedule retains.
 //
 // # Dense device model
 //
@@ -134,17 +135,17 @@
 // structure per compile (the circ region, like xtalk, is process-local and
 // never persisted — an analysis rebuilds in microseconds). The queueing
 // frontier (circuit.Frontier) is a cheap resettable view over the shared
-// CSR: its cursor state comes from a sync.Pool and Ready() fills a
+// CSR: each compile allocates its cursor state once, and Ready() fills a
 // reusable buffer with no map and no per-call allocation — the returned
 // slice is valid until the next Ready call.
 //
 // # Static enforcement
 //
 // The invariants above — deterministic output, exact cache keys,
-// zero-alloc hot loops, paired pool scratch, threaded contexts — are
-// enforced at vet time by fastscvet (cmd/fastscvet, analyzers in
-// internal/lint), the repo's own go/analysis-style suite run by `make
-// lint` and CI through go vet -vettool. The "Invariants & enforcement"
+// zero-alloc hot loops, threaded contexts — are enforced at vet time by
+// fastscvet (cmd/fastscvet, analyzers in internal/lint), the repo's own
+// go/analysis-style suite run by `make lint` and CI through go vet
+// -vettool. The "Invariants & enforcement"
 // section of docs/architecture.md maps each invariant to its analyzer
 // and to the runtime test that backstops it.
 package fastsc

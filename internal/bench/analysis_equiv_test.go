@@ -53,7 +53,6 @@ func TestAnalysisMatchesReferenceOnBenchmarks(t *testing.T) {
 				// Greedy frontier drain must reproduce the ASAP layers
 				// (ready order per round = one ASAP layer, ascending).
 				f := a.NewFrontier()
-				defer f.Release()
 				layer := 0
 				for !f.Done() {
 					ready := append([]int(nil), f.Ready()...)

@@ -50,7 +50,6 @@ func BenchmarkFrontier(b *testing.B) {
 		a := Analyze(c)
 		b.Run(fmt.Sprintf("drain-%dq-%dl", size.n, size.layers), func(b *testing.B) {
 			f := a.NewFrontier()
-			defer f.Release()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -150,7 +150,6 @@ func TestFrontierMatchesReferenceUnderPostponement(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng, 2+rng.Intn(6), 1+rng.Intn(40))
 		f := NewFrontier(c)
-		defer f.Release()
 		ref := newRefFrontier(c)
 		for rounds := 0; !f.Done() || !ref.Done(); rounds++ {
 			if rounds > 1000 {
@@ -185,7 +184,6 @@ func TestFrontierResetReplaysIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := randomCircuit(rng, 5, 30)
 	f := NewFrontier(c)
-	defer f.Release()
 	var first [][]int
 	for !f.Done() {
 		ready := f.Ready()
@@ -216,7 +214,6 @@ func TestFrontierReadyZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	c := randomCircuit(rng, 8, 120)
 	f := NewFrontier(c)
-	defer f.Release()
 	// Warm the ready buffer to the widest frontier.
 	for !f.Done() {
 		for _, idx := range f.Ready() {

@@ -1,7 +1,5 @@
 package circuit
 
-import "sync"
-
 // Dependency analysis. Two gates depend on each other when they share a
 // qubit; the earlier one (program order) must complete first. This induces
 // the layered view of a circuit ("circuit slicing", §V-B2) and the
@@ -78,9 +76,8 @@ func (c *Circuit) Criticality() []int {
 // A Frontier is a cheap resettable view over an Analysis: the per-qubit
 // gate streams live in the shared immutable Analysis, and only the cursor
 // state (next position per qubit, issued flags, the reusable Ready buffer)
-// belongs to the Frontier. That state comes from a sync.Pool, so acquiring
-// a frontier per compilation costs no steady-state allocations; call
-// Release when done to return it.
+// belongs to the Frontier. NewFrontier allocates that state once; Reset
+// rewinds it for another pass without allocating.
 type Frontier struct {
 	a      *Analysis
 	next   []int32 // per qubit: position in its QubitStream
@@ -89,26 +86,20 @@ type Frontier struct {
 	remain int
 }
 
-var frontierPool = sync.Pool{New: func() any { return new(Frontier) }}
-
 // NewFrontier builds (analyzes c and) returns a frontier at the start of c.
 // Prefer Analysis.NewFrontier when an analysis is already at hand.
 func NewFrontier(c *Circuit) *Frontier { return Analyze(c).NewFrontier() }
 
-// NewFrontier returns a frontier over a's circuit with every gate unissued,
-// drawing its cursor state from a pool. Multiple frontiers over one shared
-// Analysis are independent.
+// NewFrontier returns a frontier over a's circuit with every gate
+// unissued. Multiple frontiers over one shared Analysis are independent.
 func (a *Analysis) NewFrontier() *Frontier {
-	//fastsc:ignore poolpair -- escapes: constructor hands the pooled frontier to the caller, whose contract pairs it with Release (builder.releasePooled, router defer)
-	f := frontierPool.Get().(*Frontier)
-	f.a = a
-	f.next = resizeZero(f.next, a.NumQubits)
-	f.issued = resizeZero(f.issued, a.NumGates)
-	if f.ready == nil {
-		f.ready = make([]int, 0, 16)
+	return &Frontier{
+		a:      a,
+		next:   make([]int32, a.NumQubits),
+		issued: make([]bool, a.NumGates),
+		ready:  make([]int, 0, 16),
+		remain: a.NumGates,
 	}
-	f.remain = a.NumGates
-	return f
 }
 
 // Reset rewinds the frontier to the start of the circuit, reusing its
@@ -121,13 +112,6 @@ func (f *Frontier) Reset() {
 		f.issued[i] = false
 	}
 	f.remain = f.a.NumGates
-}
-
-// Release returns the frontier's cursor state to the pool. The frontier
-// must not be used afterwards.
-func (f *Frontier) Release() {
-	f.a = nil
-	frontierPool.Put(f)
 }
 
 // Ready returns the indices of gates whose dependencies are satisfied, in
@@ -200,17 +184,6 @@ func (f *Frontier) Done() bool { return f.remain == 0 }
 
 // Remaining returns the number of unissued gates.
 func (f *Frontier) Remaining() int { return f.remain }
-
-// resizeZero returns a zeroed slice of length n, reusing s's storage when
-// it is large enough.
-func resizeZero[T int32 | bool](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
 
 func sortInts(xs []int) {
 	// insertion sort; frontiers are small.

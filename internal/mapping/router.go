@@ -3,7 +3,6 @@ package mapping
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"fastsc/internal/circuit"
 	"fastsc/internal/graph"
@@ -293,8 +292,6 @@ type lookScratch struct {
 	done    []bool       // per gate: issued
 }
 
-var lookPool = sync.Pool{New: func() any { return new(lookScratch) }}
-
 // Route implements Router. ana may be nil; it is computed when missing.
 func (r *LookaheadRouter) Route(c *circuit.Circuit, ana *circuit.Analysis, dev *topology.Device, initial *Mapping) (*Result, error) {
 	s, err := newRouteState(c, dev, initial)
@@ -313,16 +310,7 @@ func (r *LookaheadRouter) Route(c *circuit.Circuit, ana *circuit.Analysis, dev *
 	gc := dev.Coupling
 	dm := gc.Distances()
 	front := ana.NewFrontier()
-	defer front.Release()
-	scr := lookPool.Get().(*lookScratch)
-	defer lookPool.Put(scr)
-	if cap(scr.done) < len(c.Gates) {
-		scr.done = make([]bool, len(c.Gates))
-	}
-	scr.done = scr.done[:len(c.Gates)]
-	for i := range scr.done {
-		scr.done[i] = false
-	}
+	scr := &lookScratch{done: make([]bool, len(c.Gates))}
 
 	// stuckLimit bounds consecutive SWAPs without frontier progress before
 	// the deterministic greedy fallback; one device diameter of swaps is
@@ -399,7 +387,7 @@ func (r *LookaheadRouter) Route(c *circuit.Circuit, ana *circuit.Analysis, dev *
 // distance of the blocked frontier gates plus Decay^(k+1)-weighted
 // distances of the next Window unissued two-qubit gates in program order.
 //
-//fastsc:hotpath runs once per inserted SWAP (BenchmarkRoute guards it); candidate/window buffers come from the pooled lookScratch and the scoring loop must not allocate
+//fastsc:hotpath runs once per inserted SWAP (BenchmarkRoute guards it); candidate/window buffers come from the Route call's lookScratch and the scoring loop must not allocate
 func (r *LookaheadRouter) chooseSwap(s *routeState, ana *circuit.Analysis, dm *graph.DistanceMatrix,
 	scr *lookScratch, window int, decay float64, cursor int, lastSwap *graph.Edge) error {
 

@@ -53,8 +53,6 @@ func (Naive) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System,
 			if g.Kind.IsTwoQubit() {
 				e := graph.NewEdge(g.Qubits[0], g.Qubits[1])
 				freq := freqOf(e)
-				b.setFreq(g.Qubits[0], freq)
-				b.setFreq(g.Qubits[1], freq)
 				events = append(events, GateEvent{
 					Gate: g, Duration: b.gateDuration(g, freq), Freq: freq, Color: -1,
 				})
@@ -67,7 +65,7 @@ func (Naive) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System,
 		}
 		b.emitSlice(events, 0, 0)
 	}
-	return b.finish(), nil
+	return b.sched, nil
 }
 
 // Uniform is Baseline U (Table I): every two-qubit gate shares one common
@@ -93,9 +91,10 @@ func (Uniform) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.Syste
 	b.xg = ctx.Xtalk(sys.Device, 1)
 	omega := (b.part.IntLo + b.part.IntHi) / 2
 
-	scr := b.scr
+	var active []graph.Edge // couplers issued this slice
 	f := b.front
 	for !f.Done() {
+		active = active[:0]
 		ready := f.Ready()
 		sortByCriticality(ready, b.crit)
 		var events []GateEvent
@@ -105,12 +104,10 @@ func (Uniform) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.Syste
 				// Serialize any pair of crosstalk-adjacent gates: with a
 				// single shared frequency, spectral separation is
 				// impossible, so separation must be temporal.
-				if b.xg.ConflictDegree(g.Qubits[0], g.Qubits[1], scr.active) > 0 {
+				if b.xg.ConflictDegree(g.Qubits[0], g.Qubits[1], active) > 0 {
 					continue
 				}
-				scr.active = append(scr.active, graph.NewEdge(g.Qubits[0], g.Qubits[1]))
-				b.setFreq(g.Qubits[0], omega)
-				b.setFreq(g.Qubits[1], omega)
+				active = append(active, graph.NewEdge(g.Qubits[0], g.Qubits[1]))
 				events = append(events, GateEvent{
 					Gate: g, Duration: b.gateDuration(g, omega), Freq: omega, Color: 0,
 				})
@@ -122,12 +119,12 @@ func (Uniform) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.Syste
 			f.Issue(idx)
 		}
 		colors := 0
-		if len(scr.active) > 0 {
+		if len(active) > 0 {
 			colors = 1
 		}
 		b.emitSlice(events, colors, 0)
 	}
-	return b.finish(), nil
+	return b.sched, nil
 }
 
 // Static is Baseline S (Table I): a program-independent frequency-aware
@@ -244,15 +241,15 @@ func (Static) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System
 	}
 	st, err := buildStaticTable(b, sys)
 	if err != nil {
-		b.abort()
 		return nil, err
 	}
 	b.xg = st.xg
 
-	scr := b.scr
-	scr.ensureColors(len(st.pal.Assign))
+	colorSeen := make([]bool, len(st.pal.Assign)) // palette colors issued this slice
 	f := b.front
 	for !f.Done() {
+		clear(colorSeen)
+		colors := 0
 		ready := f.Ready()
 		var events []GateEvent
 		for _, idx := range ready {
@@ -260,12 +257,10 @@ func (Static) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System
 			if g.Kind.IsTwoQubit() {
 				e := graph.NewEdge(g.Qubits[0], g.Qubits[1])
 				freq, col := st.freqAndColor(e)
-				if !scr.colorSeen[col] {
-					scr.colorSeen[col] = true
-					scr.colorList = append(scr.colorList, int32(col))
+				if !colorSeen[col] {
+					colorSeen[col] = true
+					colors++
 				}
-				b.setFreq(g.Qubits[0], freq)
-				b.setFreq(g.Qubits[1], freq)
 				events = append(events, GateEvent{
 					Gate: g, Duration: b.gateDuration(g, freq), Freq: freq, Color: col,
 				})
@@ -276,7 +271,7 @@ func (Static) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System
 			}
 			f.Issue(idx)
 		}
-		b.emitSlice(events, len(scr.colorList), st.pal.Delta)
+		b.emitSlice(events, colors, st.pal.Delta)
 	}
-	return b.finish(), nil
+	return b.sched, nil
 }

@@ -41,7 +41,7 @@ func (GmonDynamic) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.S
 	return compileColorDynamic(ctx, "ColorDynamic-G", true, c, sys, opts)
 }
 
-//fastsc:hotpath the Algorithm 1 slice loop: per-slice state lives in the pooled sliceScratch and the shared Analysis; only what a Slice retains may be freshly allocated
+//fastsc:hotpath the Algorithm 1 slice loop: per-slice state lives in one admission per compile and the shared Analysis; only what a Slice retains may be freshly allocated
 func compileColorDynamic(ctx *compile.Context, name string, gmon bool, c *circuit.Circuit, sys *phys.System, opts Options) (*Schedule, error) {
 	b, err := newBuilder(ctx, name, c, sys, opts)
 	if err != nil {
@@ -58,36 +58,34 @@ func compileColorDynamic(ctx *compile.Context, name string, gmon bool, c *circui
 		budget = opts.MaxColors
 	}
 
-	scr := b.scr
+	var adm admission
 	f := b.front
 	for !f.Done() {
+		adm.reset()
 		ready := f.Ready()
 		sortByCriticality(ready, b.crit)
-		b.admitReady(ready, scr)
+		b.admitReady(ready, &adm)
 
 		// Color the active subgraph of the crosstalk graph within the
 		// color budget and solve its frequencies; gates whose vertices
 		// cannot be colored are postponed (spectral -> temporal separation
 		// trade). The whole slice solution is a pure function of the
 		// active subgraph, so it is memoized across slices and jobs.
-		sol, err := b.solveSlice(scr, intCfg, budget)
+		sol, err := b.solveSlice(&adm, intCfg, budget)
 		if err != nil {
-			b.abort()
 			return nil, err
 		}
 
 		var events []GateEvent
-		for i, sidx := range scr.selected {
+		for i, sidx := range adm.selected {
 			idx := int(sidx)
 			g := b.circ.Gates[idx]
-			if v := scr.selVerts[i]; v >= 0 {
+			if v := adm.selVerts[i]; v >= 0 {
 				if deferredContains(sol.Deferred, int(v)) {
 					continue // postponed by the color budget
 				}
 				col := int(sol.Coloring[v])
 				freq := sol.Assign[col]
-				b.setFreq(g.Qubits[0], freq)
-				b.setFreq(g.Qubits[1], freq)
 				events = append(events, GateEvent{
 					Gate: g, Duration: b.gateDuration(g, freq), Freq: freq, Color: col,
 				})
@@ -100,7 +98,25 @@ func compileColorDynamic(ctx *compile.Context, name string, gmon bool, c *circui
 		}
 		b.emitSlice(events, sol.NumColors, sol.Delta)
 	}
-	return b.finish(), nil
+	return b.sched, nil
+}
+
+// admission holds one slice's admitted gates (Algorithm 1 lines 10–16).
+// A compile allocates it once and resets it at the top of each slice, so
+// its buffers grow to the widest slice and are reused after that.
+type admission struct {
+	active      []graph.Edge // couplers selected so far this slice
+	activeVerts []int        // their crosstalk-graph vertices, same order
+	keyVerts    []int        // sorted copy of activeVerts for the cache key
+	selected    []int32      // gate indices admitted this slice
+	selVerts    []int32      // per-selected coupler vertex (-1 for 1q gates)
+}
+
+func (a *admission) reset() {
+	a.active = a.active[:0]
+	a.activeVerts = a.activeVerts[:0]
+	a.selected = a.selected[:0]
+	a.selVerts = a.selVerts[:0]
 }
 
 // deferredContains reports whether v is in the sorted deferred list.
@@ -110,38 +126,39 @@ func deferredContains(deferred []int, v int) bool {
 }
 
 // admitReady runs the queueing scheduler's admission loop (Algorithm 1
-// lines 10–16) over the criticality-sorted ready list, staging the admitted
-// gates in scr: most-critical first, postponing two-qubit gates whose
-// crosstalk neighborhoods are already crowded (noise_conflict, §V-B6).
-func (b *builder) admitReady(ready []int, scr *sliceScratch) {
+// lines 10–16) over the criticality-sorted ready list, recording the
+// admitted gates in adm: most-critical first, postponing two-qubit gates
+// whose crosstalk neighborhoods are already crowded (noise_conflict,
+// §V-B6).
+func (b *builder) admitReady(ready []int, adm *admission) {
 	for _, idx := range ready {
 		g := b.circ.Gates[idx]
 		vert := int32(-1)
 		if g.Kind.IsTwoQubit() {
 			e := graph.NewEdge(g.Qubits[0], g.Qubits[1])
-			if b.xg.ConflictDegree(g.Qubits[0], g.Qubits[1], scr.active) >= b.opts.ConflictLimit {
+			if b.xg.ConflictDegree(g.Qubits[0], g.Qubits[1], adm.active) >= b.opts.ConflictLimit {
 				continue // postpone to a later slice
 			}
 			v := mustVertex(b, e)
-			scr.active = append(scr.active, e)
-			scr.activeVerts = append(scr.activeVerts, v)
+			adm.active = append(adm.active, e)
+			adm.activeVerts = append(adm.activeVerts, v)
 			vert = int32(v)
 		}
-		scr.selected = append(scr.selected, int32(idx))
-		scr.selVerts = append(scr.selVerts, vert)
+		adm.selected = append(adm.selected, int32(idx))
+		adm.selVerts = append(adm.selVerts, vert)
 	}
 }
 
 // solveSlice produces the coloring + frequency assignment for the active
-// gate set staged in scr, through the per-slice cache when one is attached.
-// The key is the exact sorted active vertex set of the interaction subgraph
-// on this system.
-func (b *builder) solveSlice(scr *sliceScratch, intCfg smt.Config, budget int) (compile.SliceSolution, error) {
-	scr.keyVerts = append(scr.keyVerts[:0], scr.activeVerts...)
-	sort.Ints(scr.keyVerts)
-	key := compile.SliceKey(b.sig, b.xg.Distance, budget, scr.keyVerts)
+// gate set admitted in adm, through the per-slice cache when one is
+// attached. The key is the exact sorted active vertex set of the
+// interaction subgraph on this system.
+func (b *builder) solveSlice(adm *admission, intCfg smt.Config, budget int) (compile.SliceSolution, error) {
+	adm.keyVerts = append(adm.keyVerts[:0], adm.activeVerts...)
+	sort.Ints(adm.keyVerts)
+	key := compile.SliceKey(b.sig, b.xg.Distance, budget, adm.keyVerts)
 	return b.ctx.Slice(key, func() (compile.SliceSolution, error) {
-		return b.computeSlice(scr.keyVerts, intCfg, budget)
+		return b.computeSlice(adm.keyVerts, intCfg, budget)
 	})
 }
 

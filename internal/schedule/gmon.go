@@ -37,7 +37,6 @@ func (Gmon) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, 
 	// stay spectrally spread even when couplers leak (Fig 12).
 	freqOf, err := staticPalette(b, sys)
 	if err != nil {
-		b.abort()
 		return nil, err
 	}
 	gc := sys.Device.Coupling
@@ -80,8 +79,6 @@ func (Gmon) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, 
 					continue // wait for this pattern's turn
 				}
 				omega := freqOf(e)
-				b.setFreq(g.Qubits[0], omega)
-				b.setFreq(g.Qubits[1], omega)
 				events = append(events, GateEvent{
 					Gate: g, Duration: b.gateDuration(g, omega), Freq: omega, Color: 0,
 				})
@@ -98,7 +95,7 @@ func (Gmon) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, 
 		}
 		b.emitSlice(events, colors, 0)
 	}
-	return b.finish(), nil
+	return b.sched, nil
 }
 
 // tilingPatterns partitions the device couplers into matchings, returning

@@ -10,7 +10,6 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fastsc/internal/circuit"
 	"fastsc/internal/compile"
@@ -127,72 +126,6 @@ type Compiler interface {
 	Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, opts Options) (*Schedule, error)
 }
 
-// sliceScratch holds the per-slice working buffers a builder reuses across
-// every slice of a compilation (and, through a sync.Pool, across
-// compilations): the per-qubit frequency staging area, the active-coupler
-// set, and the selection lists of the queueing scheduler. Only the
-// structures a Slice retains (Gates, Freqs, ActiveCouplers) are freshly
-// allocated per slice.
-type sliceScratch struct {
-	freqs   []float64 // qubit -> staged interaction frequency
-	freqSet []bool    // whether freqs[q] was staged this slice
-	staged  []int32   // qubits staged this slice, for O(staged) reset
-
-	active      []graph.Edge // couplers selected so far this slice
-	activeVerts []int        // their crosstalk-graph vertices, same order
-	keyVerts    []int        // sorted copy of activeVerts for the cache key
-	selected    []int32      // gate indices admitted this slice
-	selVerts    []int32      // per-selected coupler vertex (-1 for 1q gates)
-
-	colorSeen []bool  // palette colors observed this slice (Baseline S)
-	colorList []int32 // observed palette colors, for O(used) reset
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(sliceScratch) }}
-
-// acquireScratch returns a scratch sized for nQubits qubits, reusing pooled
-// buffers when they are large enough.
-func acquireScratch(nQubits int) *sliceScratch {
-	//fastsc:ignore poolpair -- escapes: constructor hands the pooled scratch to the builder, which releases it in finish/abort (releasePooled)
-	s := scratchPool.Get().(*sliceScratch)
-	if cap(s.freqs) < nQubits {
-		s.freqs = make([]float64, nQubits)
-		s.freqSet = make([]bool, nQubits)
-	}
-	s.freqs = s.freqs[:nQubits]
-	s.freqSet = s.freqSet[:nQubits]
-	for q := range s.freqSet {
-		s.freqSet[q] = false
-	}
-	s.resetSlice()
-	return s
-}
-
-// resetSlice clears the per-slice state in O(touched).
-func (s *sliceScratch) resetSlice() {
-	for _, q := range s.staged {
-		s.freqSet[q] = false
-	}
-	s.staged = s.staged[:0]
-	s.active = s.active[:0]
-	s.activeVerts = s.activeVerts[:0]
-	s.selected = s.selected[:0]
-	s.selVerts = s.selVerts[:0]
-	for _, c := range s.colorList {
-		s.colorSeen[c] = false
-	}
-	s.colorList = s.colorList[:0]
-}
-
-// ensureColors sizes the palette-color scratch for colors 0..k-1.
-func (s *sliceScratch) ensureColors(k int) {
-	if len(s.colorSeen) < k {
-		s.colorSeen = make([]bool, k)
-	}
-}
-
-func (s *sliceScratch) release() { scratchPool.Put(s) }
-
 // builder carries the state shared by every strategy: the decomposed
 // circuit with its shared dependency analysis, the frequency partition,
 // parking frequencies, and the crosstalk graph.
@@ -212,9 +145,7 @@ type builder struct {
 	crit  []int32 // ana's per-gate criticality (shared read-only)
 	xg    *xtalk.Graph
 	park  []float64 // qubit -> parking frequency (shared read-only)
-	scr   *sliceScratch
 	sched *Schedule
-	now   float64
 }
 
 func newBuilder(ctx *compile.Context, name string, c *circuit.Circuit, sys *phys.System, opts Options) (*builder, error) {
@@ -262,7 +193,6 @@ func newBuilder(ctx *compile.Context, name string, c *circuit.Circuit, sys *phys
 		crit:  ana.Criticality(),
 		xg:    ctx.Xtalk(sys.Device, opts.XtalkDistance),
 		park:  park,
-		scr:   acquireScratch(sys.Device.Qubits),
 		sched: &Schedule{
 			System:        sys,
 			Strategy:      name,
@@ -273,16 +203,6 @@ func newBuilder(ctx *compile.Context, name string, c *circuit.Circuit, sys *phys
 		},
 	}
 	return b, nil
-}
-
-// setFreq stages qubit q's interaction frequency for the slice being built.
-func (b *builder) setFreq(q int, f float64) {
-	s := b.scr
-	if !s.freqSet[q] {
-		s.freqSet[q] = true
-		s.staged = append(s.staged, int32(q))
-	}
-	s.freqs[q] = f
 }
 
 // parkingStagger is the half-width (GHz) of the deterministic within-class
@@ -367,23 +287,15 @@ func (b *builder) gateDuration(g circuit.Gate, freq float64) float64 {
 	panic(fmt.Sprintf("schedule: non-native two-qubit gate %v reached the scheduler", g.Kind))
 }
 
-// emitSlice appends a slice holding the given events, consuming the staged
-// per-qubit frequencies (setFreq) of the builder's scratch; parked qubits
-// are filled in here. The scratch slice state is reset afterwards.
+// emitSlice appends a slice holding the given events and advances the
+// schedule's TotalTime past it. Every qubit starts at its parking
+// frequency, and each two-qubit event writes its interaction frequency
+// over both operands: a qubit is in at most one gate per slice.
 func (b *builder) emitSlice(events []GateEvent, colors int, delta float64) {
 	if len(events) == 0 {
-		b.scr.resetSlice()
 		return
 	}
-	s := b.scr
-	full := make([]float64, b.sys.Device.Qubits)
-	for q := range full {
-		if s.freqSet[q] {
-			full[q] = s.freqs[q]
-		} else {
-			full[q] = b.park[q]
-		}
-	}
+	full := append([]float64(nil), b.park...)
 	dur := 0.0
 	var active []graph.Edge
 	n2q := 0
@@ -400,7 +312,9 @@ func (b *builder) emitSlice(events []GateEvent, colors int, delta float64) {
 			dur = ev.Duration
 		}
 		if ev.Gate.Kind.IsTwoQubit() {
-			active = append(active, graph.NewEdge(ev.Gate.Qubits[0], ev.Gate.Qubits[1]))
+			q0, q1 := ev.Gate.Qubits[0], ev.Gate.Qubits[1]
+			full[q0], full[q1] = ev.Freq, ev.Freq
+			active = append(active, graph.NewEdge(q0, q1))
 		}
 	}
 	if dur > 0 {
@@ -409,7 +323,7 @@ func (b *builder) emitSlice(events []GateEvent, colors int, delta float64) {
 		dur += phys.FluxRampTime
 	}
 	b.sched.Slices = append(b.sched.Slices, Slice{
-		Start:          b.now,
+		Start:          b.sched.TotalTime,
 		Duration:       dur,
 		Gates:          events,
 		Freqs:          full,
@@ -420,26 +334,7 @@ func (b *builder) emitSlice(events []GateEvent, colors int, delta float64) {
 	if colors > b.sched.MaxColorsUsed {
 		b.sched.MaxColorsUsed = colors
 	}
-	b.now += dur
-	s.resetSlice()
-}
-
-func (b *builder) finish() *Schedule {
-	b.sched.TotalTime = b.now
-	b.releasePooled()
-	return b.sched
-}
-
-// abort returns the builder's pooled resources on an error path (finish
-// does the same for successful compiles); the builder must not be used
-// afterwards.
-func (b *builder) abort() { b.releasePooled() }
-
-func (b *builder) releasePooled() {
-	b.scr.release()
-	b.scr = nil
-	b.front.Release()
-	b.front = nil
+	b.sched.TotalTime += dur
 }
 
 // sortByCriticality orders ready gate indices by descending criticality
