@@ -157,9 +157,11 @@ func (c *Cache) Save(path string) error {
 		}
 	}
 	// Emit static entries in sorted key order: the section is a slice
-	// built from a map range, and emitting it unsorted would make the
-	// snapshot bytes differ from run to run for identical cache contents
-	// (the fig13 nondeterminism class, caught by the maporder analyzer).
+	// built from a map range, and the maporder analyzer requires such a
+	// slice to be sorted (the fig13 nondeterminism class). That makes a
+	// snapshot's decoded contents deterministic, not its bytes: gob writes
+	// the SMT, Park and Slice maps in map-iteration order, so two Saves of
+	// one unchanged cache give different bytes.
 	static := c.regionEntries(RegionStatic)
 	staticKeys := make([]string, 0, len(static))
 	for k := range static {

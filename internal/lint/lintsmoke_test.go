@@ -9,12 +9,19 @@ import (
 
 // TestLintSmokeFixtureFails pins the seeded violations in the lintsmoke
 // fixture — the package CI's lint-smoke step feeds to the real fastscvet
-// binary expecting a nonzero exit. If a suite change ever stops flagging
-// it, this test fails offline before CI's self-test would.
+// binary expecting a nonzero exit — at one finding each from maporder,
+// hotalloc and poolpair. If a suite change ever stops flagging one of
+// them, this test fails offline before CI's self-test would.
 func TestLintSmokeFixtureFails(t *testing.T) {
 	res := linttest.Run(t, "lintsmoke", lint.Analyzers()...)
-	if len(res.Diagnostics) < 2 {
-		t.Fatalf("lintsmoke fixture produced %d findings, want >= 2 (maporder + hotalloc)", len(res.Diagnostics))
+	got := map[string]int{}
+	for _, d := range res.Diagnostics {
+		got[d.Analyzer]++
+	}
+	for _, name := range []string{"maporder", "hotalloc", "poolpair"} {
+		if got[name] != 1 {
+			t.Errorf("lintsmoke fixture produced %d %s findings, want 1", got[name], name)
+		}
 	}
 	if len(res.Suppressed) != 0 {
 		t.Errorf("lintsmoke fixture honored %d suppressions, want 0", len(res.Suppressed))

@@ -12,14 +12,14 @@ import (
 // same function — deferred, or ordered so that no return statement can
 // exit the function between the Get and the first release (the classic
 // pooled-scratch leak is an early error return). Acquisitions that
-// intentionally escape — constructors like circuit.NewFrontier or
-// schedule.acquireScratch that hand the pooled value to their caller,
-// whose own contract pairs it with a Release — carry the standard
+// intentionally escape — a constructor that hands the pooled value to its
+// caller, whose own contract pairs it with a Release — carry the standard
 // suppression with an "escapes:" reason, which the driver counts.
 //
 // The analysis is intraprocedural and tracks only values bound to plain
-// identifiers; cross-function custody (a builder releasing in finish())
-// stays the province of the runtime alloc-regression tests.
+// identifiers; it cannot follow a value released by another function.
+// The tree has no pool outside the lint fixtures; the analyzer guards any
+// future one, and the lintsmoke fixture keeps it firing under CI.
 var PoolPairAnalyzer = &Analyzer{
 	Name: "poolpair",
 	Doc: "sync.Pool Get must be paired with Put/Release on every path " +

@@ -9,7 +9,10 @@
 // never see it; only explicit paths reach it.
 package lintsmoke
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Keys returns m's keys in map-iteration order — a seeded maporder
 // violation: the order changes run to run.
@@ -27,4 +30,16 @@ func Keys(m map[string]int) []string {
 //fastsc:hotpath seeded violation for the lint-smoke self-test
 func Hot(x int) string {
 	return fmt.Sprintf("%d", x) // want `hotalloc: fmt\.Sprintf on a hot path`
+}
+
+type scratch struct{ buf []int }
+
+var pool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Leak is a seeded poolpair violation: the pooled scratch is never put
+// back. No pool is left in the tree outside the lint fixtures, so this is
+// what keeps the built binary's poolpair analyzer under the CI gate.
+func Leak() int {
+	s := pool.Get().(*scratch) // want `poolpair: s acquired from pool is never released`
+	return len(s.buf)
 }

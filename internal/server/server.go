@@ -41,10 +41,11 @@ type Config struct {
 	// CacheCapacity is the process-wide compile cache capacity in cost
 	// units (see compile.NewCache). <= 0 selects the default.
 	CacheCapacity int
-	// StoredBatches bounds the finished async batches kept for polling;
-	// the oldest finished batch is evicted beyond it. <= 0 selects 256.
-	StoredBatches int
 }
+
+// storedBatches bounds the finished async batches kept for polling; the
+// oldest finished batch is evicted beyond it.
+const storedBatches = 256
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -64,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.StoredBatches <= 0 {
-		c.StoredBatches = 256
 	}
 	return c
 }
@@ -128,7 +126,7 @@ func New(cfg Config) *Server {
 		cfg:            cfg,
 		base:           &compile.Context{Cache: compile.NewCache(cfg.CacheCapacity)},
 		adm:            newAdmitter(cfg.MaxConcurrent, cfg.MaxQueue),
-		store:          newBatchStore(cfg.StoredBatches),
+		store:          newBatchStore(storedBatches),
 		systems:        systemCache{m: make(map[sysKey]*phys.System)},
 		started:        time.Now(),
 		hBatchSeconds:  newHistogram(),

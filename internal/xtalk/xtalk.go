@@ -176,36 +176,6 @@ func (x *Graph) VertexOf(a, b int) (int, bool) {
 	return x.gc.EdgeID(a, b)
 }
 
-// ActiveSubgraph returns the subgraph of the crosstalk graph induced by the
-// given active couplers (the pairs currently executing two-qubit gates) —
-// the graph H of §V-B2 whose coloring yields this slice's interaction
-// frequencies. Unknown couplers are ignored.
-func (x *Graph) ActiveSubgraph(active []graph.Edge) *graph.Graph {
-	verts := make([]int, 0, len(active))
-	for _, e := range active {
-		if v, ok := x.gc.EdgeID(e.U, e.V); ok {
-			verts = append(verts, v)
-		}
-	}
-	return x.G.Subgraph(verts)
-}
-
-// NeighborsOf returns the couplers adjacent (in the crosstalk graph) to the
-// coupler between a and b, i.e. every coupler that would conflict with a
-// simultaneous gate on (a,b).
-func (x *Graph) NeighborsOf(a, b int) []graph.Edge {
-	v, ok := x.VertexOf(a, b)
-	if !ok {
-		return nil
-	}
-	adj := x.G.Adj(v)
-	out := make([]graph.Edge, len(adj))
-	for i, n := range adj {
-		out[i] = x.Couplers[n]
-	}
-	return out
-}
-
 // ConflictDegree returns, for the coupler (a,b), how many of the couplers in
 // active are adjacent to it in the crosstalk graph. The noise-aware queueing
 // scheduler postpones gates whose conflict degree is too high (§V-B6).
@@ -227,31 +197,4 @@ func (x *Graph) ConflictDegree(a, b int, active []graph.Edge) int {
 // compile cache's size-aware eviction weighs crosstalk graphs by it.
 func (x *Graph) ApproxSize() int {
 	return x.G.ApproxSize() + 16*len(x.Couplers) + 48
-}
-
-// Spectators returns the qubits that neighbor (in the connectivity graph)
-// either endpoint of the coupler (a,b) without being part of it. During a
-// gate on (a,b), spectators must idle off-resonance from the interaction
-// frequency.
-func Spectators(dev *topology.Device, a, b int) []int {
-	var out []int
-	for _, q := range [2]int{a, b} {
-		for _, n := range dev.Coupling.Adj(q) {
-			if int(n) == a || int(n) == b || containsInt(out, int(n)) {
-				continue
-			}
-			out = append(out, int(n))
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

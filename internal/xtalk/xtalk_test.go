@@ -1,7 +1,7 @@
 package xtalk
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,25 +103,6 @@ func TestVertexOf(t *testing.T) {
 	}
 }
 
-func TestActiveSubgraph(t *testing.T) {
-	// 2x3 grid: qubits 0-1-2 / 3-4-5. Gates on (0,1) and (4,5): couplers at
-	// edge distance 1, so they conflict in the active subgraph.
-	dev := topology.Grid(2, 3)
-	x := Build(dev, 1)
-	h := x.ActiveSubgraph([]graph.Edge{graph.NewEdge(0, 1), graph.NewEdge(4, 5)})
-	if h.NumNodes() != 2 {
-		t.Fatalf("active subgraph nodes = %d", h.NumNodes())
-	}
-	if h.NumEdges() != 1 {
-		t.Fatalf("couplers (0,1),(4,5) should conflict on a 2x3 grid, edges = %d", h.NumEdges())
-	}
-	// Unknown couplers ignored.
-	h2 := x.ActiveSubgraph([]graph.Edge{graph.NewEdge(0, 5)})
-	if h2.NumNodes() != 0 {
-		t.Fatal("unknown coupler should be ignored")
-	}
-}
-
 func TestConflictDegree(t *testing.T) {
 	dev := topology.Grid(2, 3)
 	x := Build(dev, 1)
@@ -135,31 +116,13 @@ func TestConflictDegree(t *testing.T) {
 }
 
 func TestNeighborsOfSymmetric(t *testing.T) {
-	dev := topology.Grid(3, 3)
-	x := Build(dev, 1)
-	for _, e := range dev.Edges() {
-		for _, f := range x.NeighborsOf(e.U, e.V) {
-			found := false
-			for _, back := range x.NeighborsOf(f.U, f.V) {
-				if back == e {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("crosstalk adjacency not symmetric: %v -> %v", e, f)
+	x := Build(topology.Grid(3, 3), 1)
+	for v := 0; v < x.G.NumNodes(); v++ {
+		for _, w := range x.G.Adj(v) {
+			if !slices.Contains(x.G.Adj(int(w)), int32(v)) {
+				t.Fatalf("crosstalk adjacency not symmetric: %v -> %v", x.Couplers[v], x.Couplers[w])
 			}
 		}
-	}
-}
-
-func TestSpectators(t *testing.T) {
-	dev := topology.Grid(3, 3)
-	// Coupler (4,5): qubit 4 is the center (neighbors 1,3,5,7), qubit 5 has
-	// neighbors 2,4,8. Spectators: 1,2,3,7,8.
-	got := Spectators(dev, 4, 5)
-	want := []int{1, 2, 3, 7, 8}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Spectators = %v, want %v", got, want)
 	}
 }
 
