@@ -145,7 +145,7 @@
 // zero-alloc hot loops, threaded contexts — are enforced at vet time by
 // fastscvet (cmd/fastscvet, analyzers in internal/lint), the repo's own
 // go/analysis-style suite run by `make lint` and CI through go vet
-// -vettool. The "Invariants & enforcement"
-// section of docs/architecture.md maps each invariant to its analyzer
-// and to the runtime test that backstops it.
+// -vettool. The "Invariants & enforcement" section of
+// docs/architecture.md maps each invariant to its analyzer and to the
+// runtime test that backstops it.
 package fastsc

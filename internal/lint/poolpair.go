@@ -18,8 +18,6 @@ import (
 //
 // The analysis is intraprocedural and tracks only values bound to plain
 // identifiers; it cannot follow a value released by another function.
-// The tree has no pool outside the lint fixtures; the analyzer guards any
-// future one, and the lintsmoke fixture keeps it firing under CI.
 var PoolPairAnalyzer = &Analyzer{
 	Name: "poolpair",
 	Doc: "sync.Pool Get must be paired with Put/Release on every path " +

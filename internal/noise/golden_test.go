@@ -235,8 +235,8 @@ func TestReportGolden(t *testing.T) {
 // per gate its kind, operands, duration, frequency and color; and the
 // schedule's total time, largest color count, compiled depth and parking
 // frequencies. Floats enter through math.Float64bits and every list
-// through its length first, so two schedules share a digest only if
-// those fields agree bit for bit.
+// through its length first, so changing any bit of those fields changes
+// the digest, barring a 64-bit hash collision.
 func scheduleDigest(s *schedule.Schedule) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
