@@ -229,12 +229,3 @@ func Matrix2Q(k Kind) Mat4 {
 	}
 	panic(fmt.Sprintf("circuit: Matrix2Q on single-qubit kind %v", k))
 }
-
-// Matrix returns the unitary of g: a Mat2 for single-qubit gates or a Mat4
-// for two-qubit gates, as an interface value.
-func (g Gate) Matrix() interface{} {
-	if g.Kind.IsTwoQubit() {
-		return Matrix2Q(g.Kind)
-	}
-	return Matrix1(g.Kind, g.Theta)
-}

@@ -41,10 +41,11 @@
 // routed circuits and circuit analyses stay process-local: they rebuild
 // about as fast as they would decode. A missing, corrupt or other-version
 // snapshot degrades to a cold cache rather than an error (LoadSnapshot
-// reports the reason), and snapshots carry KeyVersion so keys from another
-// key scheme can never satisfy a current lookup. Cache keys are exact
-// encodings (not hashes) of their inputs wherever collision would change
-// compilation output: SliceKey encodes the full sorted active-vertex set.
+// reports the reason), and SnapshotVersion covers the key schemes too, so
+// keys from another scheme can never satisfy a current lookup. Cache keys
+// are exact encodings (not hashes) of their inputs wherever collision
+// would change compilation output: SliceKey encodes the full sorted
+// active-vertex set.
 // See docs/architecture.md, "Snapshots & degradation".
 package compile
 

@@ -246,56 +246,6 @@ func TestWarmStartCompilationIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestComponentSnapshotWarmStarts loads a v6 snapshot in the layout older
-// binaries wrote: the per-component slice section of binaries that
-// decomposed slices, and the circuit pool, route and circ sections of
-// binaries that persisted those regions. The load is clean, restores
-// every entry the same snapshot without those sections restores, leaves
-// the route and circ regions empty, and a warm recompile reproduces the
-// schedule without solving any slice afresh.
-func TestComponentSnapshotWarmStarts(t *testing.T) {
-	sys := testSystem(16)
-	circ := bench.XEB(sys.Device, 5, 7)
-	path := filepath.Join(t.TempDir(), "cache.snap")
-	first := compile.NewContext(1)
-	want, err := schedule.ColorDynamic{}.Compile(first, circ, sys, schedule.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := first.Cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	plain, err := compile.NewCache(0).LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := compile.AddLegacySections(t, path); n == 0 {
-		t.Fatal("snapshot holds no slice entries to shadow with components")
-	}
-
-	warm := compile.NewContext(1)
-	res, err := warm.Cache.LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded != "" || res.Restored != plain.Restored {
-		t.Fatalf("LoadSnapshot = %+v, want a clean load of the %d entries the plain snapshot restores", res, plain.Restored)
-	}
-	for _, region := range []string{compile.RegionRoute, compile.RegionCircuit} {
-		if n := compile.RegionLen(warm.Cache, region); n != 0 {
-			t.Fatalf("%s region holds %d entries after the load, want none", region, n)
-		}
-	}
-	got, err := schedule.ColorDynamic{}.Compile(warm, circ, sys, schedule.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSchedule(t, "component snapshot warm start", got, want)
-	if st := warm.Cache.StatsByRegion()[compile.RegionSlice]; st.Misses != 0 || st.Hits == 0 {
-		t.Fatalf("slice region after warm start: %+v, want hits and no misses", st)
-	}
-}
-
 // TestBatchCompileRace exercises the full pipeline concurrently with a
 // shared cache; meaningful under -race.
 func TestBatchCompileRace(t *testing.T) {

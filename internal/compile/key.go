@@ -46,33 +46,6 @@ const (
 	RegionRoute = "route"
 )
 
-// KeyVersion is the version of the cache-key scheme, folded into SliceKey
-// and checked against snapshots on load so that keys built by an older
-// scheme can never be read back. Bump it whenever any key or signature
-// format changes.
-//
-// History: v1 reduced the active vertex set to a 64-bit FNV digest (a
-// collision would silently serve the wrong frequency assignment) and
-// omitted device coordinates from DeviceSignature (the parking stagger
-// reads them). v2 encodes the exact vertex set and hashes coordinates.
-// v3 accompanies the dense phys.System rewrite: SystemSignature reads the
-// per-coupler slice (same values, Edges() order) and the circ region was
-// added, keyed by the circuit content signature. v4 accompanies the
-// layout/routing subsystem: the route region was added, keyed by
-// (circuit signature, device signature, mapping.Options), and RouteKey
-// normalizes the options (WithDefaults) before encoding. v5 accompanies
-// component-decomposed slice solving: the slice region additionally holds
-// per-component solutions under SliceComponentKey (a distinct "c"-tagged
-// shape that can never alias a whole-slice key), so snapshots written
-// before the decomposition are rejected wholesale. v6 accompanies the
-// persisted route and circ regions; the key schemas did not change. Since
-// then component keys are no longer written (the slice solver went back
-// to solving each missed slice whole) and route and circ entries are no
-// longer persisted; again no key changed, so the version stays 6, and
-// those entries in older v6 snapshots are ignored on load. A snapshot of
-// any other key version loads cold.
-const KeyVersion = 6
-
 type hasher struct{ h uint64 }
 
 func newHasher() *hasher { return &hasher{h: 14695981039346656037} } // FNV-64a offset
@@ -149,11 +122,10 @@ func SystemSignature(sys *phys.System) string {
 
 // SMTKey is the cache key of one smt.Solve invocation. The solver is a pure
 // function of exactly these inputs; the key is an exact encoding, not a
-// hash, so distinct configurations can never collide. SMT keys are
-// persisted without a version prefix, so the bytes are fixed: k in
-// decimal, then each float's bits in lowercase hex, '|'-separated — the
-// fmt "%d|%x|%x|%x|%x" encoding, built without fmt because every SMT
-// lookup builds one.
+// hash, so distinct configurations can never collide. The bytes are
+// fixed: k in decimal, then each float's bits in lowercase hex,
+// '|'-separated — the fmt "%d|%x|%x|%x|%x" encoding, built without fmt
+// because every SMT lookup builds one.
 func SMTKey(k int, cfg smt.Config) string {
 	var arr [88]byte // a decimal int64 and four '|'-prefixed 16-digit hex words
 	buf := strconv.AppendInt(arr[:0], int64(k), 10)
@@ -169,38 +141,38 @@ func XtalkKey(dev *topology.Device, distance int) string {
 	return fmt.Sprintf("%s|%d", DeviceSignature(dev), distance)
 }
 
-// RouteKey is the cache key of one layout/routing invocation: the key
-// version, the circuit identity (exact qubit and gate counts plus the
-// content signature — the same discipline as the circ region, so a
-// hypothetical digest collision between differently-shaped circuits can
-// never alias), the device signature, and the normalized mapping options
-// (placement, router algorithm, lookahead window and decay). Placement
+// RouteKey is the cache key of one layout/routing invocation: the circuit
+// identity (exact qubit and gate counts plus the content signature — the
+// same discipline as the circ region, so a hypothetical digest collision
+// between differently-shaped circuits can never alias), the device
+// signature, and the normalized mapping options (placement, router
+// algorithm, lookahead window and decay). Placement
 // and algorithm names are fixed identifiers without '|', the signatures
 // are fixed-width hex and the numerics are exact encodings, so distinct
 // configurations can never collide. The reflection guard in key_test.go
 // pins mapping.Options and mapping.RouterConfig to this key.
 func RouteKey(circ *circuit.Circuit, devSig string, opts mapping.Options) string {
 	opts = opts.WithDefaults()
-	return fmt.Sprintf("v%d|%d|%d|%s|%s|%s|%s|%d|%x",
-		KeyVersion, circ.NumQubits, len(circ.Gates), circ.Signature(), devSig,
+	return fmt.Sprintf("%d|%d|%s|%s|%s|%s|%d|%x",
+		circ.NumQubits, len(circ.Gates), circ.Signature(), devSig,
 		opts.Placement, opts.Router.Algorithm, opts.Router.Window,
 		math.Float64bits(opts.Router.Decay))
 }
 
-// SliceKey returns the canonical cache key of one slice-solve: the key
-// version, the system signature (which fixes the crosstalk graph's coupler
-// indexing and the interaction band), the crosstalk distance and color
-// budget, and the exact sorted vertex set of the active interaction
-// subgraph, delta-encoded in hex. Vertex ids index the device's coupler
-// list, so the same simultaneous gate pattern maps to the same key in
-// every slice of every job on that system.
+// SliceKey returns the canonical cache key of one slice-solve: the system
+// signature (which fixes the crosstalk graph's coupler indexing and the
+// interaction band), the crosstalk distance and color budget, and the
+// exact sorted vertex set of the active interaction subgraph,
+// delta-encoded in hex. Vertex ids index the device's coupler list, so
+// the same simultaneous gate pattern maps to the same key in every slice
+// of every job on that system.
 //
 // The encoding is injective: the fixed-arity '|'-separated header cannot
 // alias (the signature is fixed-width hex, the ints are decimal), and two
 // distinct sorted vertex lists differ in some ','-separated delta token.
-// Unlike the v1 key — a 64-bit digest of the vertex set — no pair of
-// distinct slices can ever share a key, so a cache hit is always the right
-// frequency assignment.
+// Unlike the first key scheme — a 64-bit digest of the vertex set — no
+// pair of distinct slices can ever share a key, so a cache hit is always
+// the right frequency assignment.
 // Callers on the hot path pass an already-sorted slice, which skips the
 // defensive copy; unsorted input is copied and sorted, never mutated.
 func SliceKey(sysSig string, distance, budget int, activeVertices []int) string {
@@ -210,8 +182,8 @@ func SliceKey(sysSig string, distance, budget int, activeVertices []int) string 
 		sort.Ints(verts)
 	}
 	var sb strings.Builder
-	sb.Grow(len(sysSig) + 18 + 3*len(verts))
-	fmt.Fprintf(&sb, "v%d|%s|%d|%d|", KeyVersion, sysSig, distance, budget)
+	sb.Grow(len(sysSig) + 15 + 3*len(verts))
+	fmt.Fprintf(&sb, "%s|%d|%d|", sysSig, distance, budget)
 	prev := 0
 	for i, v := range verts {
 		if i > 0 {

@@ -71,22 +71,12 @@ func TestSliceKeyCollisionProof(t *testing.T) {
 	}
 }
 
-// TestSliceKeyVersioned checks that the key carries the key-scheme version
-// so a snapshot written under an older scheme can never satisfy a v2
-// lookup (Load additionally rejects such snapshots wholesale).
-func TestSliceKeyVersioned(t *testing.T) {
-	k := SliceKey("sig", 2, 2, []int{1, 2})
-	if want := fmt.Sprintf("v%d|", KeyVersion); !strings.HasPrefix(k, want) {
-		t.Fatalf("key %q does not carry version prefix %q", k, want)
-	}
-}
-
 // assertExactFields fails unless typ has exactly the named fields. Every
 // key/signature in this package was written against a specific struct
 // layout; when a field is added, this guard forces the author to fold it
 // into the key (or consciously exclude it), update the expected list and
-// bump KeyVersion — otherwise the new field would silently alias cache
-// entries across configurations that differ only in it.
+// bump SnapshotVersion — otherwise the new field would silently alias
+// cache entries across configurations that differ only in it.
 func assertExactFields(t *testing.T, typ reflect.Type, keyFunc string, want ...string) {
 	t.Helper()
 	var got []string
@@ -99,7 +89,7 @@ func assertExactFields(t *testing.T, typ reflect.Type, keyFunc string, want ...s
 	if !reflect.DeepEqual(got, sorted) {
 		t.Fatalf("%s has fields %v, but %s was written against %v.\n"+
 			"Fold the new field into %s (or document its exclusion here), "+
-			"update this list, and bump compile.KeyVersion.",
+			"update this list, and bump compile.SnapshotVersion.",
 			typ, got, keyFunc, sorted, keyFunc)
 	}
 }
@@ -149,20 +139,27 @@ func TestKeySchemaDrift(t *testing.T) {
 	assertExactFields(t, reflect.TypeOf(mapping.RouterConfig{}), "RouteKey",
 		"Algorithm", "Window", "Decay")
 
-	// The snapshot codec struct is pinned for a different failure mode:
-	// it is an on-disk gob shape, so a field added to it without a
-	// SnapshotVersion bump would silently change the format rather than
-	// alias a key.
-	assertExactFields(t, reflect.TypeOf(diskSnapshot{}), "the snapshot codec (Save/Load)",
-		"Magic", "Version", "KeyVersion", "SMT", "Park", "Slice", "Static")
+	// The snapshot codec structs are pinned for a different failure mode:
+	// they are on-disk gob shapes, and gob fills a field that an older
+	// file lacks with its zero value, so a field added to any of them
+	// without a SnapshotVersion bump would load silently wrong rather
+	// than alias a key. SliceSolution is the value of two sections
+	// (Slice and Palette), persistedSMT of one (SMT).
+	const codec = "the snapshot codec (Save/Load)"
+	assertExactFields(t, reflect.TypeOf(diskSnapshot{}), codec,
+		"Magic", "Version", "SMT", "Park", "Slice", "Palette")
+	assertExactFields(t, reflect.TypeOf(SliceSolution{}), codec,
+		"Coloring", "Deferred", "NumColors", "Assign", "Delta")
+	assertExactFields(t, reflect.TypeOf(persistedSMT{}), codec,
+		"Xs", "Delta", "ErrMsg", "Infeasible")
 }
 
 // TestRouteKeyDistinguishesConfigs checks RouteKey injectivity across the
 // configuration dimensions and its normalization: configurations that
 // WithDefaults maps to the same effective pipeline share a key, every
-// other pair differs, and the key carries the key-scheme version plus the
-// exact circuit dimensions (the circ-region discipline: a digest
-// collision between differently-shaped circuits can never alias).
+// other pair differs, and the key leads with the exact circuit dimensions
+// (the circ-region discipline: a digest collision between
+// differently-shaped circuits can never alias).
 func TestRouteKeyDistinguishesConfigs(t *testing.T) {
 	circ := circuit.New(4)
 	circ.H(0).CZ(0, 1).CZ(2, 3)
@@ -192,9 +189,6 @@ func TestRouteKeyDistinguishesConfigs(t *testing.T) {
 			t.Fatalf("%s config key %q != default key %q", label, k, def)
 		}
 	}
-	if want := fmt.Sprintf("v%d|", KeyVersion); !strings.HasPrefix(def, want) {
-		t.Fatalf("route key %q does not carry version prefix %q", def, want)
-	}
 	// Distinct circuits and devices must never alias, and the key encodes
 	// the exact qubit and gate counts ahead of the digest.
 	other := circuit.New(4)
@@ -202,7 +196,7 @@ func TestRouteKeyDistinguishesConfigs(t *testing.T) {
 	if RouteKey(other, "dsig", mapping.Options{}) == def || RouteKey(circ, "dsig2", mapping.Options{}) == def {
 		t.Fatal("route key ignores the circuit or device identity")
 	}
-	if want := fmt.Sprintf("v%d|%d|%d|", KeyVersion, circ.NumQubits, len(circ.Gates)); !strings.HasPrefix(def, want) {
+	if want := fmt.Sprintf("%d|%d|", circ.NumQubits, len(circ.Gates)); !strings.HasPrefix(def, want) {
 		t.Fatalf("route key %q does not encode the exact circuit dimensions %q", def, want)
 	}
 }

@@ -144,10 +144,15 @@ func (c *Context) Parking(sysSig string, compute func() ([]float64, error)) ([]f
 	return v.([]float64), nil
 }
 
-// Static returns the memoized program-independent palette (the Baseline
-// S/G calibration table) for a key, computing it on a miss. The cached
-// value is opaque to this package; schedule stores its own table type and
-// treats it as immutable.
-func (c *Context) Static(key string, compute func() (any, error)) (any, error) {
-	return c.memo(RegionStatic, key, compute)
+// Static returns the memoized program-independent palette of Baselines
+// S and G for a key (the system signature), computing it on a miss: a
+// coloring of the whole nearest-neighbor crosstalk graph and its
+// color→frequency assignment, stored in the slice solver's shape with no
+// deferred vertices. Compute must be a pure function of the key.
+func (c *Context) Static(key string, compute func() (SliceSolution, error)) (SliceSolution, error) {
+	v, err := c.memo(RegionStatic, key, func() (any, error) { return compute() })
+	if err != nil {
+		return SliceSolution{}, err
+	}
+	return v.(SliceSolution), nil
 }

@@ -9,35 +9,21 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"fastsc/internal/faultpoint"
 	"fastsc/internal/smt"
 )
 
-// SnapshotVersion is the on-disk snapshot format version. A snapshot
-// written at any other version — older or newer — degrades to a cold
-// start (DegradedVersionSkew), so stale keys are never read back.
-//
-// History: v3 switched the cached value shapes to the flat-core
-// representation (parking assignments and color→frequency maps became
-// dense slices, colorings became []int32), so v2 snapshots no longer
-// decode. v4 accompanies the dense phys.System / analyzed-circuit IR
-// rewrite (KeyVersion 3): slice keys carry the new key version, so v3
-// snapshots would never hit anyway and are rejected wholesale. v5
-// accompanies component-decomposed slice solving (KeyVersion 5): the
-// slice region now holds two value shapes — whole-slice SliceSolution
-// and per-component ComponentSolution — persisted in separate snapshot
-// sections so each decodes with its concrete type. v6 accompanies the
-// persisted route and circ regions (KeyVersion 6). Two sections have
-// since stopped being written, each with no version bump because gob
-// skips a field the reader lacks: the per-component slice section (the
-// slice solver no longer decomposes slices), and the circuit pool with
-// its route and circ sections (routing and analysis recompute faster than
-// they decode). A v6 snapshot written before either change still loads,
-// minus those entries.
-const SnapshotVersion = 6
+// SnapshotVersion is the version of the on-disk snapshot format and of
+// every cache key and signature scheme. A snapshot written at any other
+// version — older or newer — degrades to a cold start
+// (DegradedVersionSkew): entries are never re-keyed, so keys from another
+// scheme can never satisfy a current lookup. Keys from two schemes can
+// meet only through a snapshot, so this one number versions both: bump it
+// whenever a persisted value shape, a key or a signature changes.
+// docs/architecture.md, "SnapshotVersion history", lists each change.
+const SnapshotVersion = 7
 
 // snapshotMagic guards against feeding an arbitrary gob stream (or a
 // truncated file) to Load.
@@ -58,34 +44,20 @@ var PersistRegions = []string{RegionSMT, RegionStatic, RegionParking, RegionSlic
 // plain snapshots are interchangeable on the read side.
 const gzipSuffix = ".gz"
 
-// RegisterSnapshotType registers a concrete type stored in the
-// opaque-valued static region with the snapshot codec, so Save can encode
-// it and Load can decode it. Packages that put their own types into the
-// cache call this from an init function (schedule does for its static
-// palette). It is a thin wrapper over gob.Register.
-func RegisterSnapshotType(v any) { gob.Register(v) }
-
-// diskSnapshot is the gob payload of a cache snapshot. The typed regions
-// decode in one pass; Static carries individually encoded blobs because
-// its values are opaque to this package and one unregistered type must
-// cost one entry, not the snapshot. The field set is pinned by the
-// keyfields analyzer (this struct is an on-disk codec: adding a field is
-// a format change).
+// diskSnapshot is the gob payload of a cache snapshot: one typed section
+// per persisted region, each decoded in one pass. Palette holds the
+// static region; the name differs from the v6 section Static so that a
+// v6 file and this struct never decode a field of the same name and
+// another type, which gob reports as a corrupt stream instead of reaching
+// the version check. The field set is pinned by the keyfields analyzer
+// (this struct is an on-disk codec: adding a field is a format change).
 type diskSnapshot struct {
-	Magic      string
-	Version    int
-	KeyVersion int
-	SMT        map[string]persistedSMT
-	Park       map[string][]float64
-	Slice      map[string]SliceSolution
-	Static     []diskEntry
-}
-
-// diskEntry is one opaque static-region entry; Blob is the value
-// gob-encoded on its own.
-type diskEntry struct {
-	Key  string
-	Blob []byte
+	Magic   string
+	Version int
+	SMT     map[string]persistedSMT
+	Park    map[string][]float64
+	Slice   map[string]SliceSolution
+	Palette map[string]SliceSolution
 }
 
 // persistedSMT is the gob form of an smtResult: the error is flattened to
@@ -132,18 +104,17 @@ func fromPersistedSMT(p persistedSMT) smtResult {
 // (PersistRegions) to path, atomically (temp file + rename). A
 // path ending in ".gz" is written gzip-compressed (gob streams of
 // repetitive float tables compress several-fold); Load auto-detects the
-// compression regardless of name. Static-region entries whose values
-// cannot be gob-encoded — an unregistered provider type — are skipped
-// silently: a snapshot is a best-effort warm start, never a source of
-// truth.
+// compression regardless of name. gob writes each section in
+// map-iteration order, so two Saves of one unchanged cache decode to the
+// same contents but differ in their bytes.
 func (c *Cache) Save(path string) error {
 	snap := diskSnapshot{
-		Magic:      snapshotMagic,
-		Version:    SnapshotVersion,
-		KeyVersion: KeyVersion,
-		SMT:        make(map[string]persistedSMT),
-		Park:       make(map[string][]float64),
-		Slice:      make(map[string]SliceSolution),
+		Magic:   snapshotMagic,
+		Version: SnapshotVersion,
+		SMT:     make(map[string]persistedSMT),
+		Park:    make(map[string][]float64),
+		Slice:   make(map[string]SliceSolution),
+		Palette: make(map[string]SliceSolution),
 	}
 	for k, v := range c.regionEntries(RegionSMT) {
 		snap.SMT[k] = toPersistedSMT(v.(smtResult))
@@ -152,29 +123,10 @@ func (c *Cache) Save(path string) error {
 		snap.Park[k] = v.([]float64)
 	}
 	for k, v := range c.regionEntries(RegionSlice) {
-		if sol, ok := v.(SliceSolution); ok {
-			snap.Slice[k] = sol
-		}
+		snap.Slice[k] = v.(SliceSolution)
 	}
-	// Emit static entries in sorted key order: the section is a slice
-	// built from a map range, and the maporder analyzer requires such a
-	// slice to be sorted (the fig13 nondeterminism class). That makes a
-	// snapshot's decoded contents deterministic, not its bytes: gob writes
-	// the SMT, Park and Slice maps in map-iteration order, so two Saves of
-	// one unchanged cache give different bytes.
-	static := c.regionEntries(RegionStatic)
-	staticKeys := make([]string, 0, len(static))
-	for k := range static {
-		staticKeys = append(staticKeys, k)
-	}
-	sort.Strings(staticKeys)
-	for _, k := range staticKeys {
-		v := static[k]
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(&v); err != nil {
-			continue
-		}
-		snap.Static = append(snap.Static, diskEntry{Key: k, Blob: blob.Bytes()})
+	for k, v := range c.regionEntries(RegionStatic) {
+		snap.Palette[k] = v.(SliceSolution)
 	}
 	var buf bytes.Buffer
 	var enc *gob.Encoder
@@ -230,8 +182,8 @@ const (
 	// DegradedBadMagic: a well-formed gob stream that is not a cache
 	// snapshot.
 	DegradedBadMagic = "bad-magic"
-	// DegradedVersionSkew: written at another SnapshotVersion or
-	// KeyVersion, older or newer; its keys could never hit.
+	// DegradedVersionSkew: written at another SnapshotVersion, older or
+	// newer; its keys could never hit.
 	DegradedVersionSkew = "version-skew"
 )
 
@@ -246,9 +198,8 @@ type LoadResult struct {
 }
 
 // decodeSnapshot sniffs, decompresses and decodes one snapshot payload.
-// On success the returned snapshot is at the current
-// SnapshotVersion/KeyVersion; on degradation it is nil and the reason says
-// why.
+// On success the returned snapshot is at the current SnapshotVersion; on
+// degradation it is nil and the reason says why.
 func decodeSnapshot(data []byte) (*diskSnapshot, string) {
 	var src io.Reader = bytes.NewReader(data)
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b { // gzip magic
@@ -266,7 +217,7 @@ func decodeSnapshot(data []byte) (*diskSnapshot, string) {
 	if snap.Magic != snapshotMagic {
 		return nil, DegradedBadMagic
 	}
-	if snap.Version != SnapshotVersion || snap.KeyVersion != KeyVersion {
+	if snap.Version != SnapshotVersion {
 		return nil, DegradedVersionSkew
 	}
 	return &snap, ""
@@ -276,11 +227,11 @@ func decodeSnapshot(data []byte) (*diskSnapshot, string) {
 // Compressed snapshots are detected by their gzip magic bytes, not their
 // name, so a ".gz" snapshot renamed plain (or vice versa) still loads.
 // Degradation is deliberate and never fatal: a missing file, a corrupt or
-// truncated snapshot, a snapshot of another version, or an undecodable
-// entry all leave the cache cold (or partially warm), with the reason for
-// a discarded file in LoadResult.Degraded — a compilation must never fail
-// because its warm start did. The returned error is non-nil only for
-// genuine I/O failures on an existing file.
+// truncated snapshot, or a snapshot of another version all leave the
+// cache cold, with the reason for a discarded file in LoadResult.Degraded
+// — a compilation must never fail because its warm start did. The
+// returned error is non-nil only for genuine I/O failures on an existing
+// file.
 func (c *Cache) LoadSnapshot(path string) (LoadResult, error) {
 	var res LoadResult
 	data, err := os.ReadFile(path)
@@ -307,12 +258,8 @@ func (c *Cache) LoadSnapshot(path string) (LoadResult, error) {
 		c.Put(RegionSlice, k, v)
 		res.Restored++
 	}
-	for _, ent := range snap.Static {
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(ent.Blob)).Decode(&v); err != nil {
-			continue
-		}
-		c.Put(RegionStatic, ent.Key, v)
+	for k, v := range snap.Palette {
+		c.Put(RegionStatic, k, v)
 		res.Restored++
 	}
 	return res, nil

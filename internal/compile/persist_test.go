@@ -16,15 +16,14 @@ import (
 	"fastsc/internal/smt"
 )
 
-// testPalette stands in for the opaque values schedule stores in the
-// static region; it is registered with the snapshot codec like any real
-// provider type.
-type testPalette struct {
-	Assign map[int]float64
-	Delta  float64
+// testPalette is a whole-device static palette in the shape schedule
+// stores in the static region: a full coloring, no deferred vertices.
+var testPalette = SliceSolution{
+	Coloring:  graph.Coloring{0, 1, 0},
+	NumColors: 2,
+	Assign:    []float64{6.3, 6.6},
+	Delta:     0.1,
 }
-
-func init() { RegisterSnapshotType(&testPalette{}) }
 
 func snapshotPath(t *testing.T) string {
 	t.Helper()
@@ -37,8 +36,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	c.Put(RegionSMT, "ok", smtResult{xs: []float64{6.1, 6.4}, delta: 0.25})
 	c.Put(RegionSMT, "bad", smtResult{err: infeasible})
 	c.Put(RegionParking, "sys1", []float64{5.1, 5.2})
-	c.Put(RegionStatic, "sys1", &testPalette{Assign: map[int]float64{0: 6.3}, Delta: 0.1})
-	c.Put(RegionSlice, "v2|sig|2|2|1,1", SliceSolution{
+	c.Put(RegionStatic, "sys1", testPalette)
+	c.Put(RegionSlice, "sig|2|2|1,1", SliceSolution{
 		Coloring:  graph.Coloring{-1, -1, -1, 0, -1, -1, -1, 1},
 		Deferred:  []int{9},
 		NumColors: 2,
@@ -77,10 +76,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if v, ok := warm.Get(RegionParking, "sys1"); !ok || !reflect.DeepEqual(v, []float64{5.1, 5.2}) {
 		t.Fatalf("parking entry corrupted: %v (%v)", v, ok)
 	}
-	if v, ok := warm.Get(RegionStatic, "sys1"); !ok || !reflect.DeepEqual(v, &testPalette{Assign: map[int]float64{0: 6.3}, Delta: 0.1}) {
+	if v, ok := warm.Get(RegionStatic, "sys1"); !ok || !reflect.DeepEqual(v, testPalette) {
 		t.Fatalf("static entry corrupted: %v (%v)", v, ok)
 	}
-	v, ok = warm.Get(RegionSlice, "v2|sig|2|2|1,1")
+	v, ok = warm.Get(RegionSlice, "sig|2|2|1,1")
 	if !ok {
 		t.Fatal("slice entry missing after round trip")
 	}
@@ -103,7 +102,7 @@ func TestSnapshotGzipRoundTrip(t *testing.T) {
 	c := NewCache(0)
 	c.Put(RegionSMT, "ok", smtResult{xs: []float64{6.1, 6.4}, delta: 0.25})
 	c.Put(RegionParking, "sys1", []float64{5.1, 5.2})
-	c.Put(RegionSlice, "v2|sig|2|2|1,1", SliceSolution{
+	c.Put(RegionSlice, "sig|2|2|1,1", SliceSolution{
 		Coloring:  graph.Coloring{0, 1},
 		NumColors: 2,
 		Assign:    []float64{6.2, 6.6},
@@ -219,7 +218,6 @@ func writeDoctoredSnapshot(t *testing.T, path string, mutate func(*diskSnapshot)
 func TestSnapshotVersionMismatchIsCold(t *testing.T) {
 	cases := map[string]func(*diskSnapshot){
 		"format-version": func(s *diskSnapshot) { s.Version = SnapshotVersion + 1 },
-		"key-version":    func(s *diskSnapshot) { s.KeyVersion = KeyVersion - 1 },
 		"magic":          func(s *diskSnapshot) { s.Magic = "something-else" },
 	}
 	for name, mutate := range cases {
@@ -231,27 +229,6 @@ func TestSnapshotVersionMismatchIsCold(t *testing.T) {
 				t.Fatalf("mismatched snapshot: n=%d err=%v len=%d, want cold start", n, err, c.Len())
 			}
 		})
-	}
-}
-
-// TestSnapshotSkipsUnencodableStatics checks that an unregistered type in
-// the opaque static region drops that entry, not the snapshot.
-func TestSnapshotSkipsUnencodableStatics(t *testing.T) {
-	type unregistered struct{ X chan int } // channels never gob-encode
-	c := NewCache(0)
-	c.Put(RegionStatic, "bad", &unregistered{})
-	c.Put(RegionParking, "sys", []float64{5.0})
-	path := snapshotPath(t)
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	warm := NewCache(0)
-	n, err := warm.Load(path)
-	if err != nil || n != 1 {
-		t.Fatalf("n=%d err=%v, want the one encodable entry", n, err)
-	}
-	if _, ok := warm.Get(RegionStatic, "bad"); ok {
-		t.Fatal("unencodable entry should have been skipped")
 	}
 }
 
@@ -349,14 +326,14 @@ func TestSaveConcurrentSamePath(t *testing.T) {
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot decoder. It
 // must never panic: either it degrades with one of the three reasons, or
-// it returns a snapshot at the current versions that LoadSnapshot
+// it returns a snapshot at the current version that LoadSnapshot
 // restores with a nil error. Run it with `make fuzz`.
 func FuzzDecodeSnapshot(f *testing.F) {
 	c := NewCache(0)
 	c.Put(RegionSMT, "ok", smtResult{xs: []float64{6.1, 6.4}, delta: 0.25})
 	c.Put(RegionSMT, "bad", smtResult{err: &persistedErr{msg: "infeasible", base: smt.ErrInfeasible}})
 	c.Put(RegionParking, "sys1", []float64{5.1, 5.2})
-	c.Put(RegionStatic, "sys1", &testPalette{Assign: map[int]float64{0: 6.3}, Delta: 0.1})
+	c.Put(RegionStatic, "sys1", testPalette)
 	c.Put(RegionSlice, SliceKey("sig", 2, 2, []int{1, 2}), SliceSolution{
 		Coloring: graph.Coloring{0, 1}, NumColors: 2, Assign: []float64{6.2, 6.6}, Delta: 0.3,
 	})
@@ -385,8 +362,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			return
 		}
-		if reason != "" || snap.Version != SnapshotVersion || snap.KeyVersion != KeyVersion {
-			t.Fatalf("decoded version %d/%d with reason %q", snap.Version, snap.KeyVersion, reason)
+		if reason != "" || snap.Version != SnapshotVersion {
+			t.Fatalf("decoded version %d with reason %q", snap.Version, reason)
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -23,9 +23,9 @@ func TestScopedRecorderAttribution(t *testing.T) {
 
 	computes := 0
 	lookup := func(c *Context) {
-		_, _ = c.Static("k", func() (any, error) {
+		_, _ = c.Static("k", func() (SliceSolution, error) {
 			computes++
-			return 1, nil
+			return SliceSolution{NumColors: 1}, nil
 		})
 	}
 	lookup(a) // cold: a records the miss
@@ -52,7 +52,7 @@ func TestScopedRecorderAttribution(t *testing.T) {
 
 func TestScopedWithoutCacheRecordsMisses(t *testing.T) {
 	c := (&Context{}).Scoped(1)
-	if _, err := c.Static("k", func() (any, error) { return 1, nil }); err != nil {
+	if _, err := c.Static("k", func() (SliceSolution, error) { return SliceSolution{}, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tot := c.Record.Total(); tot.Misses != 1 || tot.Hits != 0 {

@@ -2,13 +2,14 @@ package compile
 
 // Size-aware eviction: cache capacity is counted in units, where one unit
 // approximates a small entry (an SMT solve, a typical slice solution).
-// Bulky values — crosstalk graphs, whole-device palettes — report their
-// approximate byte size and occupy proportionally more units, so evicting
-// under pressure sheds the memory hogs' fair share instead of treating a
-// 100 KB adjacency structure like a 100 B frequency list.
+// Bulky values — crosstalk graphs, whole-device palettes — are weighed by
+// their approximate byte size and occupy proportionally more units, so
+// evicting under pressure sheds the memory hogs' fair share instead of
+// treating a 100 KB adjacency structure like a 100 B frequency list.
 
 // Sizer is implemented by cached values that can report their approximate
-// in-memory size in bytes (xtalk.Graph and schedule.StaticPalette do).
+// in-memory size in bytes (xtalk.Graph, mapping.Result and
+// circuit.Analysis do).
 // Values without it are weighed by their concrete type's known shape, or
 // fall back to one unit.
 type Sizer interface{ ApproxSize() int }

@@ -61,13 +61,6 @@ func calleeObject(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgCall reports whether call invokes a function from the package with
-// the given import path.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
-	fn := calleeObject(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}
-
 // isBuiltinCall reports whether call invokes the named builtin.
 func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

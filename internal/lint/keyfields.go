@@ -76,12 +76,12 @@ func runKeyFields(pass *Pass, schema map[string]KeySchema) {
 		sort.Strings(missing)
 		for _, f := range missing {
 			pass.Reportf(obj.Pos(),
-				"%s lost field %s, which %s was written against; update the key, the schema table (internal/lint/keyschema.go), the reflection guard (compile/key_test.go) and bump compile.KeyVersion",
+				"%s lost field %s, which %s was written against; update the key, the schema table (internal/lint/keyschema.go), the reflection guard (compile/key_test.go) and bump compile.SnapshotVersion",
 				name, quote(f), ks.KeyFunc)
 		}
 		if len(extra) > 0 {
 			pass.Reportf(obj.Pos(),
-				"%s gained field(s) %s not enumerated in the key schema; fold them into %s (or document their exclusion), update internal/lint/keyschema.go and compile/key_test.go, and bump compile.KeyVersion",
+				"%s gained field(s) %s not enumerated in the key schema; fold them into %s (or document their exclusion), update internal/lint/keyschema.go and compile/key_test.go, and bump compile.SnapshotVersion",
 				name, strings.Join(extra, ", "), ks.KeyFunc)
 		}
 	}

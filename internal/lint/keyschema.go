@@ -7,7 +7,8 @@ package lint
 // before any test runs, with the same remediation contract as the
 // runtime guard: fold the field into the key function (or document its
 // exclusion), update this table AND the reflection guard, and bump
-// compile.KeyVersion.
+// compile.SnapshotVersion, which versions the key schemes and the
+// snapshot format together.
 //
 // Keep this table and TestKeySchemaDrift in lockstep — each backstops the
 // other (the test still runs where fastscvet does not, e.g. `go test`
@@ -66,12 +67,22 @@ var DefaultKeySchema = map[string]KeySchema{
 		KeyFunc: "compile.RouteKey",
 		Fields:  []string{"Algorithm", "Window", "Decay"},
 	},
-	// The snapshot codec struct is pinned for a different failure mode
-	// than the key structs above: it is an on-disk gob shape, so a field
-	// added to it without a SnapshotVersion bump would silently change
-	// the format rather than alias a key.
+	// The snapshot codec structs are pinned for a different failure mode
+	// than the key structs above: they are on-disk gob shapes, and gob
+	// fills a field that an older file lacks with its zero value, so a
+	// field added to any of them without a SnapshotVersion bump would load
+	// silently wrong rather than alias a key. SliceSolution is the value
+	// of the Slice and Palette sections, persistedSMT of the SMT section.
 	"fastsc/internal/compile.diskSnapshot": {
 		KeyFunc: "the snapshot codec (compile.Save/Load)",
-		Fields:  []string{"Magic", "Version", "KeyVersion", "SMT", "Park", "Slice", "Static"},
+		Fields:  []string{"Magic", "Version", "SMT", "Park", "Slice", "Palette"},
+	},
+	"fastsc/internal/compile.SliceSolution": {
+		KeyFunc: "the snapshot codec (compile.Save/Load)",
+		Fields:  []string{"Coloring", "Deferred", "NumColors", "Assign", "Delta"},
+	},
+	"fastsc/internal/compile.persistedSMT": {
+		KeyFunc: "the snapshot codec (compile.Save/Load)",
+		Fields:  []string{"Xs", "Delta", "ErrMsg", "Infeasible"},
 	},
 }

@@ -47,7 +47,7 @@ func (Naive) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System,
 	f := b.front
 	for !f.Done() {
 		ready := f.Ready() // issue everything: pure ASAP
-		var events []GateEvent
+		events := make([]GateEvent, 0, len(ready))
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {
@@ -97,7 +97,7 @@ func (Uniform) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.Syste
 		active = active[:0]
 		ready := f.Ready()
 		sortByCriticality(ready, b.crit)
-		var events []GateEvent
+		events := make([]GateEvent, 0, len(ready))
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {
@@ -137,47 +137,25 @@ type Static struct{}
 // Name implements Compiler.
 func (Static) Name() string { return "Baseline S" }
 
-// StaticPalette is the persistable core of the program-independent
-// per-coupler frequency table shared by Baseline S (as its whole strategy)
-// and Baseline G (as its Sycamore-like per-pair calibration): a
+// staticTable pairs the program-independent per-coupler frequency table
+// shared by Baseline S (as its whole strategy) and Baseline G (as its
+// Sycamore-like per-pair calibration) with this process's crosstalk
+// graph (cached separately in the xtalk region). The table is a
 // Welsh–Powell coloring of the nearest-neighbor crosstalk graph — the
 // 8-color mesh palette of Fig 7 — mapped to frequencies by one SMT solve.
 // A distance-2 whole-device palette would not fit any realistic band with
-// usable separation.
-//
-// Colors index vertices of the distance-1 crosstalk graph, which is
-// rebuilt deterministically per process from the (content-signed) device —
-// that is what makes this value valid across processes and therefore
-// snapshot-safe. All fields are immutable after construction.
-type StaticPalette struct {
-	// Colors assigns each crosstalk-graph vertex (coupler id) a palette
-	// color, densely indexed.
-	Colors graph.Coloring
-	// Assign holds each color's interaction frequency (GHz), indexed by
-	// color.
-	Assign []float64
-	// Delta is the frequency separation achieved by the solver.
-	Delta float64
-}
-
-// ApproxSize reports the palette's approximate in-memory size in bytes for
-// the compile cache's size-aware eviction.
-func (p *StaticPalette) ApproxSize() int {
-	return 4*len(p.Colors) + 8*len(p.Assign) + 64
-}
-
-func init() { compile.RegisterSnapshotType(&StaticPalette{}) }
-
-// staticTable pairs the persistable palette with this process's crosstalk
-// graph (cached separately in the xtalk region).
+// usable separation. Its colors index vertices of the distance-1
+// crosstalk graph, which every process rebuilds identically from the
+// (content-signed) device, so the table is valid across processes and
+// persists in cache snapshots.
 type staticTable struct {
 	xg  *xtalk.Graph
-	pal *StaticPalette
+	pal compile.SliceSolution
 }
 
 func (st *staticTable) freqAndColor(e graph.Edge) (float64, int) {
 	v, _ := st.xg.VertexOf(e.U, e.V)
-	col := int(st.pal.Colors[v])
+	col := int(st.pal.Coloring[v])
 	return st.pal.Assign[col], col
 }
 
@@ -187,7 +165,7 @@ func (st *staticTable) freqAndColor(e graph.Edge) (float64, int) {
 // through cache snapshots, across processes.
 func buildStaticTable(b *builder, sys *phys.System) (*staticTable, error) {
 	xg := b.ctx.Xtalk(sys.Device, 1)
-	v, err := b.ctx.Static(b.sig, func() (any, error) {
+	pal, err := b.ctx.Static(b.sig, func() (compile.SliceSolution, error) {
 		intCfg := b.part.InteractionConfig(sys.MeanAnharmonicity())
 		coloring := graph.WelshPowell(xg.G)
 		k := coloring.NumColors()
@@ -206,18 +184,19 @@ func buildStaticTable(b *builder, sys *phys.System) (*staticTable, error) {
 		}
 		freqs, delta, err := b.ctx.SolveSMT(k, intCfg)
 		if err != nil {
-			return nil, err
+			return compile.SliceSolution{}, err
 		}
-		return &StaticPalette{
-			Colors: coloring,
-			Assign: smt.AssignByOccupancy(coloring.ColorCounts(), freqs),
-			Delta:  delta,
+		return compile.SliceSolution{
+			Coloring:  coloring,
+			NumColors: k,
+			Assign:    smt.AssignByOccupancy(coloring.ColorCounts(), freqs),
+			Delta:     delta,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &staticTable{xg: xg, pal: v.(*StaticPalette)}, nil
+	return &staticTable{xg: xg, pal: pal}, nil
 }
 
 // staticPalette returns the per-coupler frequency lookup used by the gmon
@@ -251,7 +230,7 @@ func (Static) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System
 		clear(colorSeen)
 		colors := 0
 		ready := f.Ready()
-		var events []GateEvent
+		events := make([]GateEvent, 0, len(ready))
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {

@@ -12,15 +12,18 @@
 //	GET  /v1/batches/{id}   poll an async batch
 //	GET  /v1/meta           accepted strategies/topologies/placements/routers
 //	GET  /metrics           Prometheus text metrics (cache region counters)
-//	GET  /healthz           200 "ok", or 503 "draining"
+//	GET  /healthz           liveness: 200 "ok"
+//	GET  /readyz            readiness: 200 "ready", or 503 "draining"/"restoring"
 //
 // # Admission control
 //
 // Instead of the CLI's single global worker pool, the server bounds work
 // in two dimensions. Config.MaxConcurrent batches may compile at once;
-// up to Config.MaxQueue more wait in FIFO order for a slot, and anything
-// beyond that is rejected immediately with 429 — backpressure is visible
-// to clients instead of silently queueing without bound. Each admitted
+// up to Config.MaxQueue more wait for a slot, which goes to the highest
+// priority first and FIFO within a priority class. A submission that
+// finds the queue full sheds an expired or lower-priority waiter, or is
+// itself rejected immediately with 429 — backpressure is visible to
+// clients instead of silently queueing without bound. Each admitted
 // batch then runs on its own worker budget (Config.Workers, optionally
 // lowered per request), so one wide batch cannot monopolize the process.
 // Requests are fully parsed and validated *before* admission: a malformed
@@ -39,7 +42,7 @@
 // # Drain contract
 //
 // Drain flips the server into draining mode: new submissions (streaming
-// or async) get 503 and healthz reports draining, while every batch
+// or async) get 503 and readyz reports draining, while every batch
 // already admitted — including batches still waiting for a compile
 // slot — runs to completion, and read-only endpoints stay available so
 // clients can collect results. Shutdown drains and then waits for the

@@ -37,7 +37,7 @@ func withBatchDeadline(parent context.Context, pb *parsedBatch) (context.Context
 
 // decodeRequest reads and validates a CompileRequest body.
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*parsedBatch, *apiError) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req CompileRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError

@@ -428,15 +428,30 @@ func TestBadJSONBody(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge posts a JSON body of exactly the limit and one a byte
+// longer. Each is a single string value, which the decoder reads whole
+// before it can judge the request, so only the size tells them apart:
+// the first is an invalid request (400), the second too large (413).
 func TestBodyTooLarge(t *testing.T) {
-	srv := New(Config{MaxBodyBytes: 64})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := testRequest(core.ColorDynamic) // testQASM alone exceeds 64 bytes
-	code, body := postJSON(t, ts, "/v1/compile", req)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413 (%s)", code, body)
+	for size, want := range map[int]int{
+		maxBodyBytes:     http.StatusBadRequest,
+		maxBodyBytes + 1: http.StatusRequestEntityTooLarge,
+	} {
+		const open, closing = `{"padding":"`, `"}`
+		body := open + strings.Repeat("a", size-len(open)-len(closing)) + closing
+		resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%d-byte body: status = %d, want %d (%s)", size, resp.StatusCode, want, msg)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@ type Config struct {
 	// <= 0 selects GOMAXPROCS.
 	Workers int
 	// MaxConcurrent bounds the number of batches compiling simultaneously;
-	// admitted batches beyond it wait in FIFO order for a slot. <= 0
+	// admitted batches beyond it wait for a slot, which goes to the
+	// highest priority first and FIFO within a priority class. <= 0
 	// selects 2.
 	MaxConcurrent int
 	// MaxQueue bounds the batches waiting for a slot; a submission beyond
@@ -36,8 +37,6 @@ type Config struct {
 	// MaxJobs bounds the jobs of one batch (400 beyond it). <= 0 selects
 	// 256.
 	MaxJobs int
-	// MaxBodyBytes bounds a request body. <= 0 selects 8 MiB.
-	MaxBodyBytes int64
 	// CacheCapacity is the process-wide compile cache capacity in cost
 	// units (see compile.NewCache). <= 0 selects the default.
 	CacheCapacity int
@@ -46,6 +45,9 @@ type Config struct {
 // storedBatches bounds the finished async batches kept for polling; the
 // oldest finished batch is evicted beyond it.
 const storedBatches = 256
+
+// maxBodyBytes bounds a request body (413 beyond it).
+const maxBodyBytes = 8 << 20
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -62,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	return c
 }
