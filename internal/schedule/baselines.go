@@ -47,7 +47,7 @@ func (Naive) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System,
 	f := b.front
 	for !f.Done() {
 		ready := f.Ready() // issue everything: pure ASAP
-		events := make([]GateEvent, 0, len(ready))
+		var events []GateEvent
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {
@@ -97,7 +97,7 @@ func (Uniform) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.Syste
 		active = active[:0]
 		ready := f.Ready()
 		sortByCriticality(ready, b.crit)
-		events := make([]GateEvent, 0, len(ready))
+		var events []GateEvent
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {
@@ -230,7 +230,7 @@ func (Static) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System
 		clear(colorSeen)
 		colors := 0
 		ready := f.Ready()
-		events := make([]GateEvent, 0, len(ready))
+		var events []GateEvent
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {

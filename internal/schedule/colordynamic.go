@@ -76,7 +76,7 @@ func compileColorDynamic(ctx *compile.Context, name string, gmon bool, c *circui
 			return nil, err
 		}
 
-		events := make([]GateEvent, 0, len(adm.selected))
+		var events []GateEvent
 		for i, sidx := range adm.selected {
 			idx := int(sidx)
 			g := b.circ.Gates[idx]

@@ -70,7 +70,7 @@ func (Gmon) Compile(ctx *compile.Context, c *circuit.Circuit, sys *phys.System, 
 			}
 		}
 
-		events := make([]GateEvent, 0, len(ready))
+		var events []GateEvent
 		for _, idx := range ready {
 			g := b.circ.Gates[idx]
 			if g.Kind.IsTwoQubit() {
