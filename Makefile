@@ -125,9 +125,10 @@ chaos-smoke:
 # Mirrors the CI warm-cache job: a second Fig 9 sweep against the same
 # cache snapshot must report a total hit rate above 95% and a slice hit
 # rate above 99% — the snapshot carries every slice solution the sweep
-# needs, so a warm rerun solves no slice afresh.
+# needs, so a warm rerun solves no slice afresh. The recipe is one shell
+# line under `set -e`, so a failed sweep or either threshold fails it.
 warm-cache-check:
-	@snap=$$(mktemp -u)/fastsc-cache.snap; mkdir -p $$(dirname $$snap); \
+	@set -e; snap=$$(mktemp -u)/fastsc-cache.snap; mkdir -p $$(dirname $$snap); \
 	$(GO) run ./cmd/experiments -cache-file "$$snap" -cache-stats fig9 > /dev/null; \
 	$(GO) run ./cmd/experiments -cache-file "$$snap" -cache-stats fig9 | tee warm-run.txt; \
 	rate=$$(awk '/^total / {gsub(/%/,"",$$NF); rate=$$NF} END {print rate}' warm-run.txt); \
