@@ -15,7 +15,8 @@
 // load balancers rotate it out; /healthz stays 200 — the process is alive),
 // lets every admitted batch finish (bounded by -drain-timeout), and — when
 // a -cache-file is set — saves a cache snapshot that warms the next start.
-// A second signal aborts the drain immediately.
+// A second signal aborts the drain immediately. The next start loads the
+// snapshot before it listens, so once /readyz answers the cache is warm.
 //
 // With a -store-file, async batch records are durable: a batch 202-acked
 // before a kill -9 is still pollable after restart, finished batches keep
@@ -87,48 +88,33 @@ func main() {
 		}
 	}
 
-	// The cache snapshot loads in the background: restoring a large
-	// snapshot can take seconds, and the daemon should accept (cold)
-	// traffic immediately. /readyz reports 503 "restoring" until the load
-	// finishes, so rolling fleets keep traffic on warm peers meanwhile.
-	restoreDone := make(chan struct{})
+	// The cache snapshot, too, loads before the listener opens. A
+	// default-capacity snapshot loads in milliseconds, and a signal during
+	// the load ends the process before any save (signals are caught only
+	// once it serves), so a half-loaded cache never overwrites the file.
 	if *cacheFile != "" {
-		srv.SetRestoring(true)
-		go func() {
-			defer close(restoreDone)
-			defer srv.SetRestoring(false)
-			res, err := srv.Cache().LoadSnapshot(*cacheFile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fastscd: cache snapshot: %v (starting cold)\n", err)
-				return
-			}
-			if res.Degraded != "" {
-				srv.NoteSnapshotDegraded(res.Degraded)
-				fmt.Fprintf(os.Stderr, "fastscd: cache snapshot %s degraded (%s): starting cold\n", *cacheFile, res.Degraded)
-				return
-			}
-			srv.SetRestored(res.Restored)
-			fmt.Fprintf(os.Stderr, "fastscd: warm start: %d cache entries restored from %s\n", res.Restored, *cacheFile)
-		}()
-	} else {
-		close(restoreDone)
+		start := time.Now()
+		res, err := srv.LoadSnapshot(*cacheFile)
+		switch {
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "fastscd: cache snapshot: %v (starting cold)\n", err)
+		case res.Degraded != "":
+			fmt.Fprintf(os.Stderr, "fastscd: cache snapshot %s degraded (%s): starting cold\n", *cacheFile, res.Degraded)
+		default:
+			fmt.Fprintf(os.Stderr, "fastscd: warm start: %d cache entries restored from %s in %v\n",
+				res.Restored, *cacheFile, time.Since(start).Round(time.Microsecond))
+		}
 	}
 
-	// The periodic saver makes the warm start crash-proof: waiting for the
-	// restore first so a slow load cannot be clobbered by an early save of
-	// a still-cold cache. Shutdown stops it and waits for it to exit, so
-	// the final save is the last snapshot written.
+	// The periodic saver makes the warm start crash-proof. Shutdown stops
+	// it and waits for it to exit, so the final save is the last snapshot
+	// written.
 	saverStop := make(chan struct{})
 	var saver sync.WaitGroup
 	if *cacheFile != "" && *snapInterval > 0 {
 		saver.Add(1)
 		go func() {
 			defer saver.Done()
-			select {
-			case <-restoreDone:
-			case <-saverStop:
-				return
-			}
 			tick := time.NewTicker(*snapInterval)
 			defer tick.Stop()
 			for {
@@ -175,8 +161,7 @@ func main() {
 		cancel()
 	}()
 
-	srv.Drain() // refuse new submissions; readyz turns 503 immediately
-	drainErr := srv.Shutdown(ctx)
+	drainErr := srv.Shutdown(ctx) // refuses new submissions at once; readyz turns 503
 	if drainErr != nil {
 		fmt.Fprintln(os.Stderr, "fastscd:", drainErr)
 	}

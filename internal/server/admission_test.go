@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -178,6 +179,7 @@ func TestPriorityAndDeadlineValidation(t *testing.T) {
 		{"priority too high", func(r *CompileRequest) { p := 10; r.Priority = &p }},
 		{"priority negative", func(r *CompileRequest) { p := -1; r.Priority = &p }},
 		{"negative deadline", func(r *CompileRequest) { r.DeadlineMS = -5 }},
+		{"deadline overflows time.Duration", func(r *CompileRequest) { r.DeadlineMS = math.MaxInt64/int64(time.Millisecond) + 1 }},
 	} {
 		req := testRequest(core.ColorDynamic)
 		tc.mutate(&req)

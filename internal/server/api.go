@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -211,6 +212,11 @@ const MaxPriority = 9
 // request bytes allocate without limit.
 const MaxDeviceQubits = 1024
 
+// maxDeadlineMS is the largest deadline_ms whose time.Duration does not
+// overflow int64 nanoseconds (about 292 years); a larger one would wrap
+// into the past and expire every job before it starts.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // apiError is an error with an HTTP status; retryAfter, when non-zero,
 // becomes a Retry-After header (seconds).
 type apiError struct {
@@ -250,8 +256,8 @@ func (s *Server) parseRequest(req *CompileRequest) (*parsedBatch, *apiError) {
 	if max := s.cfg.MaxJobs; len(req.Jobs) > max {
 		return nil, badRequest("request has %d jobs, limit is %d", len(req.Jobs), max)
 	}
-	if req.DeadlineMS < 0 {
-		return nil, badRequest("deadline_ms must be >= 0, got %d", req.DeadlineMS)
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		return nil, badRequest("deadline_ms must be in [0, %d], got %d", maxDeadlineMS, req.DeadlineMS)
 	}
 	prio := DefaultPriority
 	if req.Priority != nil {

@@ -13,7 +13,7 @@
 //	GET  /v1/meta           accepted strategies/topologies/placements/routers
 //	GET  /metrics           Prometheus text metrics (cache region counters)
 //	GET  /healthz           liveness: 200 "ok"
-//	GET  /readyz            readiness: 200 "ready", or 503 "draining"/"restoring"
+//	GET  /readyz            readiness: 200 "ready", or 503 "draining"
 //
 // # Admission control
 //
@@ -47,7 +47,7 @@
 // slot — runs to completion, and read-only endpoints stay available so
 // clients can collect results. Shutdown drains and then waits for the
 // in-flight batches (bounded by its context). On a clean Shutdown the
-// caller persists the cache with Cache().Save; the next boot loads the
-// snapshot and records the restored-entry count via SetRestored, exported
-// as fastscd_snapshot_restored_entries.
+// caller persists the cache with Cache().Save; the next boot calls
+// LoadSnapshot before it serves, which exports the restored-entry count as
+// fastscd_snapshot_restored_entries.
 package server

@@ -141,9 +141,9 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth serves GET /healthz: pure liveness. It answers 200 "ok"
-// whenever the process can serve HTTP at all — including while draining
-// or restoring a snapshot — so supervisors do not kill an instance that
-// is merely busy. Traffic routing reads /readyz instead.
+// whenever the process can serve HTTP at all — including while draining —
+// so supervisors do not kill an instance that is merely busy. Traffic
+// routing reads /readyz instead.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
@@ -151,20 +151,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady serves GET /readyz: readiness. 503 "draining" once Drain has
 // been called (load balancers rotate the terminating instance out while
-// its in-flight batches finish) and 503 "restoring" while the background
-// snapshot restore is still warming the cache; 200 "ready" otherwise.
+// its in-flight batches finish), 200 "ready" otherwise. The daemon loads
+// its cache snapshot before it listens, so a server that answers is warm.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case s.Draining():
+	if s.Draining() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "draining\n")
-	case s.Restoring():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "restoring\n")
-	default:
-		io.WriteString(w, "ready\n")
+		return
 	}
+	io.WriteString(w, "ready\n")
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

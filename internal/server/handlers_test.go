@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"fastsc/internal/compile"
 	"fastsc/internal/core"
 )
 
@@ -553,30 +556,46 @@ func TestMeta(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	srv := New(Config{})
-	srv.SetRestored(17)
-	srv.NoteSnapshotDegraded("corrupt")
-	srv.NoteSnapshotDegraded("corrupt")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	doStream(t, ts, testRequest(core.ColorDynamic))
-	doStream(t, ts, testRequest(core.ColorDynamic))
-
+// metricsText scrapes /metrics.
+func metricsText(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	text := string(data)
+	return string(data)
+}
+
+func TestMetricsEndpoint(t *testing.T) {
+	// Save a compiled cache, as a clean fastscd shutdown does.
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "cache.snap")
+	src := New(Config{})
+	srcTS := httptest.NewServer(src.Handler())
+	doStream(t, srcTS, testRequest(core.ColorDynamic))
+	srcTS.Close()
+	if err := src.Cache().Save(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{})
+	res, err := srv.LoadSnapshot(snap)
+	if err != nil || res.Restored == 0 || res.Degraded != "" {
+		t.Fatalf("LoadSnapshot = %+v, %v; want a clean load with entries restored", res, err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	doStream(t, ts, testRequest(core.ColorDynamic))
+	doStream(t, ts, testRequest(core.ColorDynamic))
+	text := metricsText(t, ts)
 
 	for _, want := range []string{
 		`fastscd_cache_hits_total{region="smt"}`,
 		`fastscd_cache_misses_total{region="slice"}`,
-		"fastscd_snapshot_restored_entries 17",
-		`fastscd_snapshot_degraded_total{reason="corrupt"} 2`,
+		fmt.Sprintf("fastscd_snapshot_restored_entries %d\n", res.Restored),
 		`fastscd_requests_total{endpoint="compile"} 2`,
 		"fastscd_batches_done_total 2",
 		"fastscd_jobs_total 2",
@@ -587,9 +606,34 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+	if strings.Contains(text, "fastscd_snapshot_degraded_total") {
+		t.Errorf("a clean snapshot load exported fastscd_snapshot_degraded_total:\n%s", text)
+	}
 	// The repeat request must have produced global cache hits.
 	if !regionCounterPositive(t, text, "fastscd_cache_hits_total") {
 		t.Errorf("no positive fastscd_cache_hits_total counter after a repeat request:\n%s", text)
+	}
+
+	// A file that is not a snapshot is discarded: one degraded load,
+	// nothing restored.
+	bad := filepath.Join(dir, "bad.snap")
+	if err := os.WriteFile(bad, []byte("not a snapshot\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{})
+	if res, err := cold.LoadSnapshot(bad); err != nil || res.Degraded != compile.DegradedCorrupt {
+		t.Fatalf("LoadSnapshot(non-snapshot) = %+v, %v; want degraded %q", res, err, compile.DegradedCorrupt)
+	}
+	coldTS := httptest.NewServer(cold.Handler())
+	defer coldTS.Close()
+	text = metricsText(t, coldTS)
+	for _, want := range []string{
+		"fastscd_snapshot_restored_entries 0\n",
+		`fastscd_snapshot_degraded_total{reason="corrupt"} 1` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics after a discarded snapshot missing %q", want)
+		}
 	}
 }
 
@@ -614,14 +658,19 @@ func TestHealthz(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
-		t.Fatalf("healthz = %d %q", resp.StatusCode, body)
+	for _, tc := range []struct{ path, want string }{
+		{"/healthz", "ok"},
+		{"/readyz", "ready"},
+	} {
+		resp, err := ts.Client().Get(ts.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != tc.want {
+			t.Errorf("%s = %d %q, want 200 %q", tc.path, resp.StatusCode, body, tc.want)
+		}
 	}
 }
 

@@ -44,17 +44,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeHelp("fastscd_cache_entries", "Entries currently resident in the compile cache.", "gauge")
 	fmt.Fprintf(&b, "fastscd_cache_entries %d\n", s.base.Cache.Len())
 	writeHelp("fastscd_snapshot_restored_entries", "Cache entries restored from the warm-start snapshot at boot.", "gauge")
-	fmt.Fprintf(&b, "fastscd_snapshot_restored_entries %d\n", s.snapshotRestored.Load())
-	if degraded := s.snapshotDegraded(); len(degraded) > 0 {
-		reasons := make([]string, 0, len(degraded))
-		for reason := range degraded {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
+	fmt.Fprintf(&b, "fastscd_snapshot_restored_entries %d\n", s.snapshot.Restored)
+	if reason := s.snapshot.Degraded; reason != "" {
 		writeHelp("fastscd_snapshot_degraded_total", "Snapshot loads that degraded to a cold start, by reason.", "counter")
-		for _, reason := range reasons {
-			fmt.Fprintf(&b, "fastscd_snapshot_degraded_total{reason=%q} %d\n", reason, degraded[reason])
-		}
+		fmt.Fprintf(&b, "fastscd_snapshot_degraded_total{reason=%q} 1\n", reason)
 	}
 
 	writeHelp("fastscd_requests_total", "HTTP requests accepted for decoding, by endpoint.", "counter")
@@ -119,12 +112,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining = 1
 	}
 	fmt.Fprintf(&b, "fastscd_draining %d\n", draining)
-	writeHelp("fastscd_restoring", "1 while the background snapshot restore is still warming the cache.", "gauge")
-	restoring := 0
-	if s.Restoring() {
-		restoring = 1
-	}
-	fmt.Fprintf(&b, "fastscd_restoring %d\n", restoring)
 	writeHelp("fastscd_uptime_seconds", "Seconds since the server was created.", "gauge")
 	fmt.Fprintf(&b, "fastscd_uptime_seconds %.0f\n", time.Since(s.started).Seconds())
 

@@ -83,28 +83,24 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	admitted  atomic.Int64 // batches admitted and not yet finished
-	running   atomic.Int64 // batches holding a compile slot
-	draining  atomic.Bool
-	restoring atomic.Bool // background snapshot restore in progress
+	admitted atomic.Int64 // batches admitted and not yet finished
+	running  atomic.Int64 // batches holding a compile slot
+	draining atomic.Bool
 
-	snapshotRestored atomic.Int64
-	// degraded counts snapshot loads that fell back to cold, by
-	// compile.LoadResult.Degraded reason — the "silent degrade" signal
-	// exported as fastscd_snapshot_degraded_total{reason=...}.
-	degradedMu     sync.Mutex
-	degradedTotals map[string]int64
-	mStreams       atomic.Int64
-	mSubmits       atomic.Int64
-	mPolls         atomic.Int64
-	mBatchesDone   atomic.Int64
-	mJobs          atomic.Int64
-	mJobsFailed    atomic.Int64
-	mJobPanics     atomic.Int64
-	mRejectQueue   atomic.Int64
-	mRejectDrain   atomic.Int64
-	mShed          atomic.Int64
-	mExpired       atomic.Int64
+	// snapshot is the boot-time snapshot load, set by LoadSnapshot before
+	// the server serves and exported by /metrics.
+	snapshot     compile.LoadResult
+	mStreams     atomic.Int64
+	mSubmits     atomic.Int64
+	mPolls       atomic.Int64
+	mBatchesDone atomic.Int64
+	mJobs        atomic.Int64
+	mJobsFailed  atomic.Int64
+	mJobPanics   atomic.Int64
+	mRejectQueue atomic.Int64
+	mRejectDrain atomic.Int64
+	mShed        atomic.Int64
+	mExpired     atomic.Int64
 
 	// batchEWMA holds the float64 bits of an exponentially weighted moving
 	// average of batch wall time (seconds), feeding Retry-After.
@@ -122,60 +118,33 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:            cfg,
-		base:           &compile.Context{Cache: compile.NewCache(cfg.CacheCapacity)},
-		adm:            newAdmitter(cfg.MaxConcurrent, cfg.MaxQueue),
-		store:          newBatchStore(storedBatches),
-		systems:        systemCache{m: make(map[sysKey]*phys.System)},
-		started:        time.Now(),
-		hBatchSeconds:  newHistogram(),
-		hWaitSeconds:   newHistogram(),
-		degradedTotals: make(map[string]int64),
+		cfg:           cfg,
+		base:          &compile.Context{Cache: compile.NewCache(cfg.CacheCapacity)},
+		adm:           newAdmitter(cfg.MaxConcurrent, cfg.MaxQueue),
+		store:         newBatchStore(storedBatches),
+		systems:       systemCache{m: make(map[sysKey]*phys.System)},
+		started:       time.Now(),
+		hBatchSeconds: newHistogram(),
+		hWaitSeconds:  newHistogram(),
 	}
 	s.routes()
 	return s
 }
 
-// Cache exposes the process-wide cache for snapshot warm-start and
-// shutdown persistence (compile.Cache.Load/Save).
+// Cache exposes the process-wide cache, for snapshot saves
+// (compile.Cache.Save) and for callers that compile against it directly.
 func (s *Server) Cache() *compile.Cache { return s.base.Cache }
 
-// SetRestored records how many snapshot entries warmed the cache at
-// startup, exported as fastscd_snapshot_restored_entries.
-func (s *Server) SetRestored(n int) { s.snapshotRestored.Store(int64(n)) }
-
-// NoteSnapshotDegraded records one snapshot load that degraded to cold,
-// by reason (a compile.Degraded* constant). Exported as
-// fastscd_snapshot_degraded_total{reason=...} so a daemon silently serving
-// cold from a truncated snapshot is visible.
-func (s *Server) NoteSnapshotDegraded(reason string) {
-	if reason == "" {
-		return
-	}
-	s.degradedMu.Lock()
-	s.degradedTotals[reason]++
-	s.degradedMu.Unlock()
+// LoadSnapshot warms the process-wide cache from a snapshot written by
+// Cache().Save (see compile.Cache.LoadSnapshot) and records the result,
+// exported as fastscd_snapshot_restored_entries and, for a discarded
+// file, fastscd_snapshot_degraded_total{reason=...}. Call it at most once,
+// before Handler serves.
+func (s *Server) LoadSnapshot(path string) (compile.LoadResult, error) {
+	res, err := s.base.Cache.LoadSnapshot(path)
+	s.snapshot = res
+	return res, err
 }
-
-// snapshotDegraded returns a copy of the per-reason degraded-load counts.
-func (s *Server) snapshotDegraded() map[string]int64 {
-	s.degradedMu.Lock()
-	defer s.degradedMu.Unlock()
-	out := make(map[string]int64, len(s.degradedTotals))
-	for k, v := range s.degradedTotals {
-		out[k] = v
-	}
-	return out
-}
-
-// SetRestoring flags that a background snapshot restore is in progress.
-// While set, /readyz reports 503 (the instance serves but is not warm);
-// /healthz is unaffected. The daemon sets it around its background cache
-// Load so load balancers keep traffic on warm peers during a fleet roll.
-func (s *Server) SetRestoring(v bool) { s.restoring.Store(v) }
-
-// Restoring reports whether a background snapshot restore is in progress.
-func (s *Server) Restoring() bool { return s.restoring.Load() }
 
 // Store exposes the async batch store for durable open/save at the daemon
 // boundary (see batchStore.Open and batchStore.SaveNow).

@@ -13,7 +13,11 @@
 #      into the fastscd_batch_duration_seconds histogram
 #   6. SIGTERM; assert a clean exit that persisted the snapshot
 #   7. restart against the snapshot; assert a warm start
-#      (fastscd_snapshot_restored_entries > 0)
+#      (fastscd_snapshot_restored_entries > 0) and a post-restart hit rate
+#      above 0.8
+#   8. stop, cut the snapshot to its first 200 bytes and restart; assert
+#      the daemon still becomes ready, counts one corrupt load and restores
+#      nothing, logs the degrade before it listens, and compiles the batch
 set -euo pipefail
 
 PORT="${PORT:-8077}"
@@ -32,9 +36,9 @@ trap cleanup EXIT
 
 fail() { echo "daemon-smoke: FAIL: $*" >&2; exit 1; }
 
-# Readiness (not liveness): /readyz stays 503 while the daemon restores a
-# cache snapshot in the background, so a warm restart is only "up" once the
-# restored entries are actually queryable.
+# Readiness (not liveness): the daemon loads its cache snapshot before it
+# opens the port, so /readyz answers 200 only once the restored entries
+# are queryable; until then curl gets "connection refused".
 wait_ready() {
     for _ in $(seq 1 100); do
         if curl -fsS "$BASE/readyz" >/dev/null 2>&1; then return 0; fi
@@ -227,6 +231,33 @@ rate = done["cache"]["hit_rate"]
 # below the same-process 0.90.
 assert rate > 0.8, f"post-restart hit rate {rate} is not > 0.8"
 print(f"post-restart: hit rate {rate:.3f}")
+PYEOF
+
+echo "== a damaged snapshot must degrade to a cold start, not stop the boot"
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" 2>/dev/null || true
+DAEMON_PID=""
+head -c 200 "$SNAP" > "$WORKDIR/cut.snap.gz"
+mv "$WORKDIR/cut.snap.gz" "$SNAP"
+start_daemon
+[ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/readyz")" = 200 ] \
+    || fail "/readyz is not 200 after booting on a damaged snapshot"
+curl -fsS "$BASE/metrics" > "$WORKDIR/metrics3.txt"
+grep -q '^fastscd_snapshot_degraded_total{reason="corrupt"} 1$' "$WORKDIR/metrics3.txt" \
+    || fail "expected fastscd_snapshot_degraded_total{reason=\"corrupt\"} 1 on /metrics"
+grep -q '^fastscd_snapshot_restored_entries 0$' "$WORKDIR/metrics3.txt" \
+    || fail "expected fastscd_snapshot_restored_entries 0 on /metrics"
+degraded_line=$(grep -n 'degraded (corrupt)' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1)
+listening_line=$(grep -n 'listening' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1)
+[ -n "$degraded_line" ] && [ -n "$listening_line" ] && [ "$degraded_line" -lt "$listening_line" ] \
+    || fail "the degrade must be logged before the listener opens; log: $(cat "$WORKDIR/daemon.log")"
+curl -fsS -N "$BASE/v1/compile" -d @"$REQ" > "$WORKDIR/degraded.ndjson"
+python3 - "$WORKDIR/degraded.ndjson" <<'PYEOF'
+import json, sys
+lines = [json.loads(l) for l in open(sys.argv[1]) if l.strip()]
+done = [l for l in lines if l["type"] == "done"][0]
+assert done["jobs"] == 5 and done["failed"] == 0, done
+print(f"degraded restart: corrupt snapshot discarded, 5 jobs compiled cold (hit rate {done['cache']['hit_rate']:.3f})")
 PYEOF
 
 kill -TERM "$DAEMON_PID"
