@@ -108,8 +108,9 @@ daemon:
 # batch over HTTP, assert valid schedules, a >90% cache hit rate on a
 # repeat submission, nonzero /metrics hit counters, a single deep
 # circuit with workers > 1 reporting into the batch-duration histogram,
-# a clean SIGTERM drain that persists a snapshot, and a warm restart
-# from it.
+# a clean SIGTERM drain that persists a snapshot, a warm restart from it,
+# and a restart on the snapshot cut to 200 bytes that must log the degrade
+# before it listens, count one corrupt load and still compile.
 daemon-smoke:
 	./scripts/daemon-smoke.sh
 

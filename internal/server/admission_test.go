@@ -306,13 +306,7 @@ func mustUnmarshal(t *testing.T, data []byte, into any) {
 // at least want.
 func metricAtLeast(t *testing.T, ts *httptest.Server, name string, want int) bool {
 	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(data), "\n") {
+	for _, line := range strings.Split(metricsText(t, ts), "\n") {
 		fields := strings.Fields(line)
 		if len(fields) == 2 && fields[0] == name {
 			n, err := strconv.Atoi(fields[1])

@@ -247,8 +247,8 @@ grep -q '^fastscd_snapshot_degraded_total{reason="corrupt"} 1$' "$WORKDIR/metric
     || fail "expected fastscd_snapshot_degraded_total{reason=\"corrupt\"} 1 on /metrics"
 grep -q '^fastscd_snapshot_restored_entries 0$' "$WORKDIR/metrics3.txt" \
     || fail "expected fastscd_snapshot_restored_entries 0 on /metrics"
-degraded_line=$(grep -n 'degraded (corrupt)' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1)
-listening_line=$(grep -n 'listening' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1)
+degraded_line=$(grep -n 'degraded (corrupt)' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1 || true)
+listening_line=$(grep -n 'listening' "$WORKDIR/daemon.log" | head -1 | cut -d: -f1 || true)
 [ -n "$degraded_line" ] && [ -n "$listening_line" ] && [ "$degraded_line" -lt "$listening_line" ] \
     || fail "the degrade must be logged before the listener opens; log: $(cat "$WORKDIR/daemon.log")"
 curl -fsS -N "$BASE/v1/compile" -d @"$REQ" > "$WORKDIR/degraded.ndjson"
