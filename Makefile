@@ -63,12 +63,13 @@ lint-smoke: fastscvet
 		echo "lint-smoke: fastscvet correctly failed the seeded-violation fixture"; \
 	fi
 
-# fuzz runs the snapshot-decoder fuzz target for a short, fixed time; a
-# crasher it finds is written under internal/compile/testdata/fuzz and
-# belongs in the repo as a regression seed. In lockstep with ci.yml's
-# fuzz job.
+# fuzz runs the snapshot-decoder fuzz target, then the QASM parser's, each
+# for a short, fixed time; a crasher either finds is written under its
+# package's testdata/fuzz and belongs in the repo as a regression seed. In
+# lockstep with ci.yml's fuzz job.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=20s ./internal/compile/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/qasm/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./... | tee bench-results.txt
@@ -104,12 +105,13 @@ bench-regress:
 daemon:
 	$(GO) run ./cmd/fastscd
 
-# Mirrors the CI daemon-smoke job: build fastscd, start it, submit a
-# batch over HTTP, assert valid schedules, a >90% cache hit rate on a
-# repeat submission, nonzero /metrics hit counters, a single deep
-# circuit with workers > 1 reporting into the batch-duration histogram,
-# a clean SIGTERM drain that persists a snapshot, a warm restart from it,
-# and a restart on the snapshot cut to 200 bytes that must log the degrade
+# Mirrors the CI daemon-smoke job: build fastscd, start it on an absent
+# snapshot file and assert it logs a cold start, submit a batch over
+# HTTP, assert valid schedules, a >90% cache hit rate on a repeat
+# submission, nonzero /metrics hit counters, a single deep circuit with
+# workers > 1 reporting into the batch-duration histogram, a clean
+# SIGTERM drain that persists a snapshot, a warm restart from it, and a
+# restart on the snapshot cut to 200 bytes that must log the degrade
 # before it listens, count one corrupt load and still compile.
 daemon-smoke:
 	./scripts/daemon-smoke.sh

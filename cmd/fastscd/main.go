@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
@@ -80,9 +81,12 @@ func main() {
 	// the daemon either has its durable store or knows it degraded.
 	if *storeFile != "" {
 		restored, interrupted, err := srv.Store().Open(*storeFile)
-		if err != nil {
+		switch reason := srv.Store().Degraded(); {
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "fastscd: batch store: %v (starting empty)\n", err)
-		} else {
+		case reason != "":
+			fmt.Fprintf(os.Stderr, "fastscd: batch store %s degraded (%s): starting empty\n", *storeFile, reason)
+		default:
 			fmt.Fprintf(os.Stderr, "fastscd: batch store: %d records restored (%d interrupted), epoch %d\n",
 				restored, interrupted, srv.Store().Epoch())
 		}
@@ -93,6 +97,7 @@ func main() {
 	// the load ends the process before any save (signals are caught only
 	// once it serves), so a half-loaded cache never overwrites the file.
 	if *cacheFile != "" {
+		_, statErr := os.Stat(*cacheFile)
 		start := time.Now()
 		res, err := srv.LoadSnapshot(*cacheFile)
 		switch {
@@ -100,6 +105,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fastscd: cache snapshot: %v (starting cold)\n", err)
 		case res.Degraded != "":
 			fmt.Fprintf(os.Stderr, "fastscd: cache snapshot %s degraded (%s): starting cold\n", *cacheFile, res.Degraded)
+		case errors.Is(statErr, fs.ErrNotExist):
+			fmt.Fprintf(os.Stderr, "fastscd: cold start: no snapshot at %s\n", *cacheFile)
 		default:
 			fmt.Fprintf(os.Stderr, "fastscd: warm start: %d cache entries restored from %s in %v\n",
 				res.Restored, *cacheFile, time.Since(start).Round(time.Microsecond))

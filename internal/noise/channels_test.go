@@ -220,3 +220,85 @@ func TestDecoherenceArithmetic(t *testing.T) {
 }
 
 func edge(a, b int) graph.Edge { return graph.NewEdge(a, b) }
+
+// TestParkedTermTable pins the evaluator's term table on three slices of
+// equal duration over chain 0-1-2 with a parking vector. Slices 1 and 3
+// leave every qubit at its parking frequency, so they share the table's
+// ambient and flux cells; slice 2 moves idle qubit 2 off its parking
+// frequency, so coupler (1,2) and qubit 2 must be computed at the moved
+// frequency there and not read from the cells slice 1 filled.
+func TestParkedTermTable(t *testing.T) {
+	sys := lineSystem(3)
+	park := []float64{5.2, 5.7, 5.25}
+	moved := []float64{5.2, 5.7, 5.9}
+	tau := 30.0
+	comp := circuit.New(3)
+	comp.X(0).X(0).X(0)
+	slice := func(i int, freqs []float64) schedule.Slice {
+		return schedule.Slice{
+			Start:    float64(i) * tau,
+			Duration: tau,
+			Freqs:    freqs,
+			Gates:    []schedule.GateEvent{{Gate: comp.Gates[i], Duration: 25, Freq: freqs[0]}},
+		}
+	}
+	s := &schedule.Schedule{
+		System:       sys,
+		Strategy:     "synthetic",
+		Slices:       []schedule.Slice{slice(0, park), slice(1, moved), slice(2, park)},
+		TotalTime:    3 * tau,
+		Compiled:     comp,
+		ParkingFreqs: park,
+	}
+	opt := DefaultOptions()
+	opt.Gate1Error, opt.Gate2Error = 0, 0
+	rep := Evaluate(s, opt)
+
+	// ambient is the idle-idle error through coupler id = (id, id+1).
+	ambient := func(id int, fu, fv float64) float64 {
+		g0 := sys.G0ByID(int32(id))
+		ec := sys.Transmon(id).EC
+		eps := phys.TransitionProbability(g0, fu-fv, tau)
+		return eps + opt.SidebandWeight*(phys.TransitionProbability(math.Sqrt2*g0, (fu-ec)-fv, tau)+
+			phys.TransitionProbability(math.Sqrt2*g0, fu-(fv-ec), tau))
+	}
+	flux := func(q int, f float64) float64 {
+		tr := sys.Transmon(q)
+		phi, err := tr.FluxFor(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rate := phys.TwoPi * opt.FluxNoiseSigma * tr.FluxSensitivity(phi)
+		return 1 - math.Exp(-rate*tau)
+	}
+	a01, a12, a12moved := ambient(0, park[0], park[1]), ambient(1, park[1], park[2]), ambient(1, moved[1], moved[2])
+	wantAmb := 1 - (1-a01)*(1-a12)*(1-a01)*(1-a12moved)*(1-a01)*(1-a12)
+	if math.Abs(rep.AmbientError-wantAmb) > 1e-12 {
+		t.Fatalf("ambient error %v, want %v", rep.AmbientError, wantAmb)
+	}
+	parked := (1 - flux(0, park[0])) * (1 - flux(1, park[1]))
+	wantFlux := 1 - parked*(1-flux(2, park[2]))*parked*(1-flux(2, moved[2]))*parked*(1-flux(2, park[2]))
+	if math.Abs(rep.FluxError-wantFlux) > 1e-12 {
+		t.Fatalf("flux error %v, want %v", rep.FluxError, wantFlux)
+	}
+
+	// Without a parking vector every term is computed where it occurs; the
+	// table must change no bit of the Report.
+	direct := *s
+	direct.ParkingFreqs = nil
+	if got := *Evaluate(&direct, opt); got != *rep {
+		t.Fatalf("table path %+v, direct path %+v", *rep, got)
+	}
+
+	// A poisoned ambient cell for coupler (1,2) shows which slices read
+	// it: slices 1 and 3, not slice 2.
+	ev := &evaluator{s: s, opt: opt, edges: sys.Device.Edges(), mark: make([]bool, 3)}
+	ev.initTable()
+	amb, _ := ev.cells(tau)
+	amb[1] = math.Log(0.5)
+	poisoned := ev.run()
+	wantAmb = 1 - (1-a01)*0.5*(1-a01)*(1-a12moved)*(1-a01)*0.5
+	if math.Abs(poisoned.AmbientError-wantAmb) > 1e-12 {
+		t.Fatalf("poisoned ambient error %v, want %v", poisoned.AmbientError, wantAmb)
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"fastsc/internal/compile"
+	"fastsc/internal/core"
 	"fastsc/internal/expt"
 	"fastsc/internal/noise"
 	"fastsc/internal/phys"
+	"fastsc/internal/schedule"
 )
 
 // BenchmarkEvaluate scores the 110 schedules of the Fig 9 sweep per op,
@@ -14,6 +16,9 @@ import (
 // Systems, so every flux sensitivity is a memo hit; cold gives each op
 // fresh, identical Systems, so each distinct (qubit, frequency) pays its
 // FluxFor bisection once per op, as a sweep on newly built devices does.
+// deep scores one ColorDynamic schedule of a 6000-gate circuit on a
+// 100-qubit grid, the shape of fastscbench's deep-100q op, without the
+// compile around it.
 func BenchmarkEvaluate(b *testing.B) {
 	jobs := fig9Schedules(b, compile.NewContext(1))
 	opt := noise.DefaultOptions()
@@ -42,6 +47,16 @@ func BenchmarkEvaluate(b *testing.B) {
 				s.System = fresh[s.System]
 				noise.Evaluate(&s, opt)
 			}
+		}
+	})
+	b.Run("deep", func(b *testing.B) {
+		sys := expt.GridSystem(100)
+		s := goldenSchedule(b, compile.NewContext(1), deepCircuit(sys, 6000, 1), sys,
+			schedule.ColorDynamic{}.Name(), core.Config{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			noise.Evaluate(s, opt)
 		}
 	})
 }

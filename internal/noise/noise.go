@@ -30,6 +30,7 @@ package noise
 
 import (
 	"math"
+	"slices"
 
 	"fastsc/internal/graph"
 	"fastsc/internal/phys"
@@ -98,7 +99,11 @@ type Report struct {
 // builds no crosstalk graph: coupler pairs are classified by a point query
 // over the connectivity graph (xtalk.Adjacent), and flux sensitivities come
 // from the System's memo (phys.System.SensitivityAt), shared with every
-// other schedule on the same System.
+// other schedule on the same System. Parked qubits repeat their ambient
+// and flux terms from slice to slice, so the call computes each such term
+// once per distinct slice duration and coupler or qubit, in a table it
+// owns (see evaluator.table); every other term is computed where it
+// occurs. The sums add the same terms in the same order either way.
 func Evaluate(s *schedule.Schedule, opt Options) *Report {
 	n := s.System.Device.Qubits
 	ev := &evaluator{
@@ -108,8 +113,14 @@ func Evaluate(s *schedule.Schedule, opt Options) *Report {
 		mark:  make([]bool, n),
 		twoQ:  make([]twoQubitGate, 0, n/2),
 	}
+	ev.initTable()
 	return ev.run()
 }
+
+// maxDurations bounds the slice durations the term table covers. Compiled
+// schedules have a handful (Fig 9: 4.6 on average, at most 19); slices of
+// any later duration compute their terms directly.
+const maxDurations = 32
 
 type evaluator struct {
 	s   *schedule.Schedule
@@ -123,6 +134,20 @@ type evaluator struct {
 	// twoQ holds the current slice's two-qubit gates, reused across
 	// slices.
 	twoQ []twoQubitGate
+
+	// Parking is static (§V-B4): every slice starts from
+	// s.ParkingFreqs, so a coupler whose endpoints both sit there, or a
+	// qubit that does, has a term that depends only on the slice
+	// duration. table holds, for each duration in durs[:ndur], one cell
+	// per coupler (dense-id order) and then one per qubit: the ambient or
+	// flux term log1p(−clamp(ε)) at the parking frequencies. NaN marks a
+	// cell not computed yet; a NaN term therefore stays uncached and is
+	// recomputed, which is still correct. A slice reads a cell only when
+	// the frequencies involved equal the parking ones. table is nil when
+	// the schedule carries no parking vector.
+	durs  [maxDurations]float64
+	ndur  int
+	table []float64
 
 	logGate float64
 	logSpec float64
@@ -152,11 +177,12 @@ func (ev *evaluator) run() *Report {
 		}
 		ev.gateGateChannels(sl)
 		ev.spectatorChannels(sl)
+		amb, flux := ev.cells(sl.Duration)
 		if !ev.opt.DisableAmbient {
-			ev.ambientChannels(sl)
+			ev.ambientChannels(sl, amb)
 		}
 		if ev.opt.FluxNoiseSigma > 0 {
-			ev.fluxChannels(sl)
+			ev.fluxChannels(sl, flux)
 		}
 		for _, e := range sl.ActiveCouplers {
 			ev.mark[e.U] = false
@@ -304,50 +330,125 @@ func (ev *evaluator) spectatorChannels(sl *schedule.Slice) {
 	}
 }
 
+// initTable collects the schedule's distinct slice durations, the first
+// maxDurations of them, and allocates their cells, all NaN.
+func (ev *evaluator) initTable() {
+	s := ev.s
+	n := len(ev.mark)
+	if len(s.ParkingFreqs) != n {
+		return
+	}
+	for si := range s.Slices {
+		if ev.ndur == maxDurations {
+			break
+		}
+		if d := s.Slices[si].Duration; !slices.Contains(ev.durs[:ev.ndur], d) {
+			ev.durs[ev.ndur] = d
+			ev.ndur++
+		}
+	}
+	ev.table = make([]float64, ev.ndur*(len(ev.edges)+n))
+	for i := range ev.table {
+		ev.table[i] = math.NaN()
+	}
+}
+
+// cells returns the ambient and flux cells for slices of duration d, or
+// nil when the table does not cover d.
+func (ev *evaluator) cells(d float64) (amb, flux []float64) {
+	k := slices.Index(ev.durs[:ev.ndur], d)
+	if k < 0 {
+		return nil, nil
+	}
+	m := len(ev.edges)
+	row := ev.table[k*(m+len(ev.mark)) : (k+1)*(m+len(ev.mark))]
+	return row[:m], row[m:]
+}
+
 // ambientChannels accumulates the idle-idle background through couplers
-// whose both endpoints are parked.
+// whose both endpoints are parked. cells, when not nil, are the table's
+// ambient cells for the slice's duration.
 //
 //fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
-func (ev *evaluator) ambientChannels(sl *schedule.Slice) {
-	s := ev.s
+func (ev *evaluator) ambientChannels(sl *schedule.Slice, cells []float64) {
 	busy := ev.mark
+	park := ev.s.ParkingFreqs
 	for id, e := range ev.edges {
 		if busy[e.U] || busy[e.V] {
 			continue // spectator/gate channels cover these
 		}
-		g0 := s.System.G0ByID(int32(id))
-		if s.Gmon {
-			g0 *= s.Residual
-		}
-		if g0 == 0 {
+		fu, fv := sl.Freqs[e.U], sl.Freqs[e.V]
+		if cells == nil || fu != park[e.U] || fv != park[e.V] {
+			ev.logAmb += ev.ambientTerm(id, e, fu, fv, sl.Duration)
 			continue
 		}
-		fu, fv := sl.Freqs[e.U], sl.Freqs[e.V]
-		ec := s.System.Transmon(e.U).EC
-		tau := sl.Duration
-		eps := phys.TransitionProbability(g0, fu-fv, tau)
-		sb := phys.TransitionProbability(math.Sqrt2*g0, (fu-ec)-fv, tau) +
-			phys.TransitionProbability(math.Sqrt2*g0, fu-(fv-ec), tau)
-		eps += ev.opt.SidebandWeight * sb
-		ev.logAmb += math.Log1p(-clampProb(eps))
+		t := cells[id]
+		if math.IsNaN(t) {
+			t = ev.ambientTerm(id, e, fu, fv, sl.Duration)
+			cells[id] = t
+		}
+		ev.logAmb += t
 	}
 }
 
+// ambientTerm returns log1p(−clamp(ε)) for the idle-idle channel through
+// coupler id at frequencies fu and fv over tau ns, or 0 when the coupler
+// carries no coupling. Adding that 0 changes no bit of the sum, which
+// starts at +0 and so is never −0.
+//
+//fastsc:hotpath per-term body of ambientChannels
+func (ev *evaluator) ambientTerm(id int, e graph.Edge, fu, fv, tau float64) float64 {
+	s := ev.s
+	g0 := s.System.G0ByID(int32(id))
+	if s.Gmon {
+		g0 *= s.Residual
+	}
+	if g0 == 0 {
+		return 0
+	}
+	ec := s.System.Transmon(e.U).EC
+	eps := phys.TransitionProbability(g0, fu-fv, tau)
+	sb := phys.TransitionProbability(math.Sqrt2*g0, (fu-ec)-fv, tau) +
+		phys.TransitionProbability(math.Sqrt2*g0, fu-(fv-ec), tau)
+	eps += ev.opt.SidebandWeight * sb
+	return math.Log1p(-clampProb(eps))
+}
+
 // fluxChannels accumulates dephasing from flux noise for qubits operated
-// away from their sweet spots.
+// away from their sweet spots. cells, when not nil, are the table's flux
+// cells for the slice's duration.
 //
 //fastsc:hotpath per-slice channel of the eq. 4 loop (see run)
-func (ev *evaluator) fluxChannels(sl *schedule.Slice) {
-	s := ev.s
-	for q := 0; q < s.System.Device.Qubits; q++ {
-		sens := s.System.SensitivityAt(q, sl.Freqs[q])
-		if sens == 0 {
+func (ev *evaluator) fluxChannels(sl *schedule.Slice, cells []float64) {
+	park := ev.s.ParkingFreqs
+	for q := range ev.mark {
+		f := sl.Freqs[q]
+		if cells == nil || f != park[q] {
+			ev.logFlux += ev.fluxTerm(q, f, sl.Duration)
 			continue
 		}
-		rate := phys.TwoPi * ev.opt.FluxNoiseSigma * sens // GHz
-		eps := 1 - math.Exp(-rate*sl.Duration)
-		ev.logFlux += math.Log1p(-clampProb(eps))
+		t := cells[q]
+		if math.IsNaN(t) {
+			t = ev.fluxTerm(q, f, sl.Duration)
+			cells[q] = t
+		}
+		ev.logFlux += t
 	}
+}
+
+// fluxTerm returns log1p(−clamp(ε)) for qubit q's flux-noise dephasing at
+// frequency f over tau ns, or 0 at zero sensitivity, which, as in
+// ambientTerm, adds nothing to the sum.
+//
+//fastsc:hotpath per-term body of fluxChannels
+func (ev *evaluator) fluxTerm(q int, f, tau float64) float64 {
+	sens := ev.s.System.SensitivityAt(q, f)
+	if sens == 0 {
+		return 0
+	}
+	rate := phys.TwoPi * ev.opt.FluxNoiseSigma * sens // GHz
+	eps := 1 - math.Exp(-rate*tau)
+	return math.Log1p(-clampProb(eps))
 }
 
 func clampProb(p float64) float64 {

@@ -222,9 +222,10 @@ func TestSerialCircuitHasNoGateGateError(t *testing.T) {
 }
 
 // TestEvaluateAllocsIndependentOfDepth bounds Evaluate's allocations by a
-// constant: the evaluator's per-slice state lives in slices it owns, and
-// the flux sensitivities come from the System's memo, so a schedule ten
-// times deeper allocates no more.
+// constant: the evaluator's per-slice state lives in slices it owns, its
+// term table is one slice sized by the distinct slice durations (at most
+// 32), and the flux sensitivities come from the System's memo, so a
+// schedule ten times deeper allocates no more.
 func TestEvaluateAllocsIndependentOfDepth(t *testing.T) {
 	sys := phys.NewSystem(topology.SquareGrid(16), phys.DefaultParams(), 42)
 	opt := DefaultOptions()
@@ -237,7 +238,7 @@ func TestEvaluateAllocsIndependentOfDepth(t *testing.T) {
 	if deepDepth < 5*shallowDepth {
 		t.Fatalf("depths %d and %d do not differ enough to test anything", shallowDepth, deepDepth)
 	}
-	const bound = 5 // evaluator, its coupler list and two scratch slices, the Report
+	const bound = 5 // the coupler list, two scratch slices, the term table, the Report
 	if shallow > bound || deep > bound {
 		t.Fatalf("Evaluate allocates %v times at depth %d and %v at depth %d, want at most %d",
 			shallow, shallowDepth, deep, deepDepth, bound)

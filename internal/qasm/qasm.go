@@ -144,6 +144,9 @@ func (p *parser) gate(s string) error {
 	if len(qubits) != want {
 		return fmt.Errorf("gate %s wants %d operands, got %d", name, want, len(qubits))
 	}
+	if want == 2 && qubits[0] == qubits[1] {
+		return fmt.Errorf("two-qubit gate %s on a single qubit %d", name, qubits[0])
+	}
 	p.circ.Add(circuit.Gate{Kind: kind, Qubits: qubits, Theta: theta})
 	return nil
 }

@@ -10,8 +10,9 @@ import (
 	"fastsc/internal/circuit"
 )
 
-func TestParseBasicProgram(t *testing.T) {
-	src := `
+// The programs of the parse tests below, which FuzzParse also starts from.
+const (
+	basicProgram = `
 OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[3];
@@ -20,7 +21,32 @@ cx q[0],q[1];
 rz(pi/2) q[2];
 swap q[1], q[2];
 `
-	res, err := Parse(src)
+	commentedProgram = `qreg q[2]; // register
+// full line comment
+h q[0]; cx q[0],q[1]; // two statements on one line`
+	classicalProgram = `qreg q[2];
+creg c[2];
+h q[0];
+barrier q[0],q[1];
+measure q[0] -> c[0];`
+)
+
+// badPrograms each fail to parse.
+var badPrograms = []string{
+	"h q[0];",                         // gate before qreg
+	"qreg q[0];",                      // empty register
+	"qreg q[2];\nfoo q[0];",           // unknown gate
+	"qreg q[2];\nh q[5];",             // out of range
+	"qreg q[2];\nh r[0];",             // unknown register
+	"qreg q[2];\ncx q[0];",            // wrong arity
+	"qreg q[2];\ncx q[0],q[0];",       // one qubit twice
+	"qreg q[2];\nrz(pi/0) q[0];",      // division by zero
+	"qreg q[2];\nqreg r[2];\nh q[0];", // double qreg
+	"qreg q[2];\nrz(banana) q[0];",    // bad token
+}
+
+func TestParseBasicProgram(t *testing.T) {
+	res, err := Parse(basicProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +63,7 @@ swap q[1], q[2];
 }
 
 func TestParseComments(t *testing.T) {
-	src := `qreg q[2]; // register
-// full line comment
-h q[0]; cx q[0],q[1]; // two statements on one line`
-	res, err := Parse(src)
+	res, err := Parse(commentedProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +73,7 @@ h q[0]; cx q[0],q[1]; // two statements on one line`
 }
 
 func TestParseSkipsClassical(t *testing.T) {
-	src := `qreg q[2];
-creg c[2];
-h q[0];
-barrier q[0],q[1];
-measure q[0] -> c[0];`
-	res, err := Parse(src)
+	res, err := Parse(classicalProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +106,7 @@ func TestParseAngles(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"h q[0];",                         // gate before qreg
-		"qreg q[0];",                      // empty register
-		"qreg q[2];\nfoo q[0];",           // unknown gate
-		"qreg q[2];\nh q[5];",             // out of range
-		"qreg q[2];\nh r[0];",             // unknown register
-		"qreg q[2];\ncx q[0];",            // wrong arity
-		"qreg q[2];\nrz(pi/0) q[0];",      // division by zero
-		"qreg q[2];\nqreg r[2];\nh q[0];", // double qreg
-		"qreg q[2];\nrz(banana) q[0];",    // bad token
-	}
-	for _, src := range cases {
+	for _, src := range badPrograms {
 		if _, err := Parse(src); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}

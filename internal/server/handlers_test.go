@@ -322,6 +322,10 @@ func TestValidationErrors(t *testing.T) {
 			Device: DeviceSpec{Topology: "linear", Qubits: 4},
 			Jobs:   qasmJob("OPENQASM 2.0;\nqreg q[4];\nfrobnicate q[0];\n"),
 		}, "frobnicate"},
+		{"qasm gate on one qubit twice", CompileRequest{
+			Device: DeviceSpec{Topology: "linear", Qubits: 4},
+			Jobs:   []JobSpec{{ID: "twice", QASM: "qreg q[2];\ncx q[0],q[0];"}},
+		}, `job "twice": qasm: line 2: two-qubit gate cx on a single qubit 0`},
 		{"qasm without qreg", CompileRequest{
 			Device: DeviceSpec{Topology: "linear", Qubits: 4},
 			Jobs:   qasmJob("OPENQASM 2.0;\nh q[0];\n"),
@@ -606,8 +610,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
-	if strings.Contains(text, "fastscd_snapshot_degraded_total") {
-		t.Errorf("a clean snapshot load exported fastscd_snapshot_degraded_total:\n%s", text)
+	for _, absent := range []string{"fastscd_snapshot_degraded_total", "fastscd_store_degraded_total"} {
+		if strings.Contains(text, absent) {
+			t.Errorf("a clean boot exported %s:\n%s", absent, text)
+		}
 	}
 	// The repeat request must have produced global cache hits.
 	if !regionCounterPositive(t, text, "fastscd_cache_hits_total") {
@@ -615,7 +621,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	// A file that is not a snapshot is discarded: one degraded load,
-	// nothing restored.
+	// nothing restored. The same file as a batch store is discarded too.
 	bad := filepath.Join(dir, "bad.snap")
 	if err := os.WriteFile(bad, []byte("not a snapshot\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -624,15 +630,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	if res, err := cold.LoadSnapshot(bad); err != nil || res.Degraded != compile.DegradedCorrupt {
 		t.Fatalf("LoadSnapshot(non-snapshot) = %+v, %v; want degraded %q", res, err, compile.DegradedCorrupt)
 	}
+	if _, _, err := cold.Store().Open(bad); err != nil {
+		t.Fatal(err)
+	}
 	coldTS := httptest.NewServer(cold.Handler())
 	defer coldTS.Close()
 	text = metricsText(t, coldTS)
 	for _, want := range []string{
 		"fastscd_snapshot_restored_entries 0\n",
 		`fastscd_snapshot_degraded_total{reason="corrupt"} 1` + "\n",
+		`fastscd_store_degraded_total{reason="corrupt"} 1` + "\n",
 	} {
 		if !strings.Contains(text, want) {
-			t.Errorf("metrics after a discarded snapshot missing %q", want)
+			t.Errorf("metrics after a discarded snapshot and store missing %q", want)
 		}
 	}
 }

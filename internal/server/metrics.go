@@ -94,6 +94,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "fastscd_store_interrupted_batches %d\n", interrupted)
 	writeHelp("fastscd_store_save_errors_total", "Batch-store persists that failed (store kept serving from memory).", "counter")
 	fmt.Fprintf(&b, "fastscd_store_save_errors_total %d\n", saveErrs)
+	if reason := s.store.Degraded(); reason != "" {
+		writeHelp("fastscd_store_degraded_total", "Batch-store loads that discarded the file and started empty, by reason.", "counter")
+		fmt.Fprintf(&b, "fastscd_store_degraded_total{reason=%q} 1\n", reason)
+	}
 
 	if fired := faultpoint.FiredAll(); len(fired) > 0 {
 		names := make([]string, 0, len(fired))

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fastsc/internal/compile"
 	"fastsc/internal/faultpoint"
 )
 
@@ -77,9 +78,13 @@ type batchStore struct {
 	// path is the snapshot file; empty disables persistence entirely.
 	path  string
 	epoch int64
-	// restored / interrupted describe the last Open, for /metrics.
+	// restored / interrupted / degraded describe the last Open, for
+	// /metrics. degraded is the reason a discarded file was discarded,
+	// named as for the cache snapshot (compile.DegradedCorrupt,
+	// DegradedBadMagic, DegradedVersionSkew), and empty otherwise.
 	restored    int64
 	interrupted int64
+	degraded    string
 
 	saveMu       sync.Mutex   // serializes snapshot writes
 	saveErrs     atomic.Int64 // failed persists (store kept serving from memory)
@@ -94,10 +99,11 @@ func newBatchStore(limit int) *batchStore {
 // previous process persisted there. Recovery follows the cache-snapshot
 // contract: a missing file starts epoch 1 empty; a corrupt, truncated or
 // version-mismatched snapshot degrades to an empty store with a nil error
-// (the daemon must boot); only genuine I/O errors on an existing file are
-// returned. Batches persisted as queued or running are re-marked
-// "interrupted" — the process died under them — and count toward the
-// interrupted metric. The restored epoch is the persisted epoch + 1.
+// (the daemon must boot) and the reason in Degraded; only genuine I/O
+// errors on an existing file are returned. Batches persisted as queued or
+// running are re-marked "interrupted" — the process died under them — and
+// count toward the interrupted metric. The restored epoch is the persisted
+// epoch + 1.
 func (st *batchStore) Open(path string) (restored, interrupted int, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -111,11 +117,16 @@ func (st *batchStore) Open(path string) (restored, interrupted int, err error) {
 	}
 	data = faultpoint.Corrupt(faultpoint.StoreLoadCorrupt, data)
 	var snap storeSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return 0, 0, nil // corrupt: empty store
+	switch {
+	case gob.NewDecoder(bytes.NewReader(data)).Decode(&snap) != nil:
+		st.degraded = compile.DegradedCorrupt
+	case snap.Magic != storeMagic:
+		st.degraded = compile.DegradedBadMagic
+	case snap.Version != storeVersion:
+		st.degraded = compile.DegradedVersionSkew
 	}
-	if snap.Magic != storeMagic || snap.Version != storeVersion {
-		return 0, 0, nil // other format generation: empty store
+	if st.degraded != "" {
+		return 0, 0, nil // empty store
 	}
 	st.epoch = snap.Epoch + 1
 	st.seq = snap.Seq
@@ -183,6 +194,14 @@ func (st *batchStore) Epoch() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.epoch
+}
+
+// Degraded returns why the last Open discarded the store file, or "" when
+// it restored the file, found none or was never called.
+func (st *batchStore) Degraded() string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.degraded
 }
 
 // RecoveryStats returns the restored and interrupted counts of the last

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fastsc/internal/compile"
 	"fastsc/internal/faultpoint"
 )
 
@@ -83,29 +84,38 @@ func TestStoreCorruptSnapshotDegradesToEmpty(t *testing.T) {
 		return path, data
 	}
 
+	encode := func(t *testing.T, snap storeSnapshot) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, tc := range []struct {
 		name   string
+		reason string
 		mutate func(t *testing.T, data []byte) []byte
 	}{
-		{"corrupt header", func(t *testing.T, data []byte) []byte {
+		{"corrupt header", compile.DegradedCorrupt, func(t *testing.T, data []byte) []byte {
 			for i := 0; i < 16 && i < len(data); i++ {
 				data[i] ^= 0xff
 			}
 			return data
 		}},
-		{"truncated", func(t *testing.T, data []byte) []byte {
+		{"truncated", compile.DegradedCorrupt, func(t *testing.T, data []byte) []byte {
 			return data[:len(data)/2]
 		}},
-		{"version mismatch", func(t *testing.T, data []byte) []byte {
-			var buf bytes.Buffer
-			err := gob.NewEncoder(&buf).Encode(storeSnapshot{
+		{"other magic", compile.DegradedBadMagic, func(t *testing.T, data []byte) []byte {
+			return encode(t, storeSnapshot{
+				Magic: "not-a-batch-store", Version: storeVersion, Epoch: 9, Seq: 9,
+				Records: []persistedBatch{{ID: "b-000001", Status: "done", Jobs: 1}},
+			})
+		}},
+		{"version mismatch", compile.DegradedVersionSkew, func(t *testing.T, data []byte) []byte {
+			return encode(t, storeSnapshot{
 				Magic: storeMagic, Version: storeVersion + 1, Epoch: 9, Seq: 9,
 				Records: []persistedBatch{{ID: "b-000001", Status: "done", Jobs: 1}},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,10 +126,13 @@ func TestStoreCorruptSnapshotDegradesToEmpty(t *testing.T) {
 			st := newBatchStore(16)
 			restored, interrupted, err := st.Open(path)
 			if err != nil {
-				t.Fatalf("Open must degrade silently, got %v", err)
+				t.Fatalf("Open must degrade with a nil error, got %v", err)
 			}
 			if restored != 0 || interrupted != 0 || st.len() != 0 {
 				t.Fatalf("restored %d interrupted %d len %d, want empty", restored, interrupted, st.len())
+			}
+			if got := st.Degraded(); got != tc.reason {
+				t.Fatalf("degraded reason %q, want %q", got, tc.reason)
 			}
 			// A degraded store starts a fresh epoch and keeps working.
 			if st.Epoch() != 1 {
@@ -137,8 +150,8 @@ func TestStoreCorruptSnapshotDegradesToEmpty(t *testing.T) {
 func TestStoreMissingFileStartsEmpty(t *testing.T) {
 	st := newBatchStore(16)
 	restored, interrupted, err := st.Open(filepath.Join(t.TempDir(), "absent.store"))
-	if err != nil || restored != 0 || interrupted != 0 {
-		t.Fatalf("Open(missing) = %d, %d, %v", restored, interrupted, err)
+	if err != nil || restored != 0 || interrupted != 0 || st.Degraded() != "" {
+		t.Fatalf("Open(missing) = %d, %d, %v with reason %q", restored, interrupted, err, st.Degraded())
 	}
 }
 

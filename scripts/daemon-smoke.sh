@@ -2,7 +2,8 @@
 # daemon-smoke.sh — end-to-end smoke test of fastscd (run from repo root,
 # or via `make daemon-smoke`). Mirrors the CI daemon-smoke job:
 #
-#   1. build fastscd and start it with a snapshot file
+#   1. build fastscd and start it with a snapshot file that does not
+#      exist yet; assert it logs a cold start, not a warm one
 #   2. submit a 5-strategy QASM batch on a 9-qubit grid; validate every
 #      result line carries a sane schedule summary
 #   3. resubmit the identical batch; assert the request-scoped cache hit
@@ -82,6 +83,8 @@ PYEOF
 
 echo "== start (cold)"
 start_daemon
+grep -qF "cold start: no snapshot at $SNAP" "$WORKDIR/daemon.log" \
+    || fail "a first boot must log 'cold start: no snapshot at $SNAP'; log: $(cat "$WORKDIR/daemon.log")"
 
 echo "== submit batch (cold)"
 curl -fsS -N "$BASE/v1/compile" -d @"$REQ" > "$WORKDIR/cold.ndjson"
